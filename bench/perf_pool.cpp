@@ -21,7 +21,7 @@
 //       exploration cell costs) -- the grains bracket what
 //       parallel_for actually feeds the pool.
 //
-// Standalone harness (like perf_serve / perf_cache): prints one JSON
+// Standalone harness (like perf_scale / perf_remote): prints one JSON
 // document to stdout; the checked-in BENCH_pool.json is a captured
 // run. Each pool row also records the pool-counter deltas
 // (steals/overflow/blocks/wakeups) so the dispatch topology behind a

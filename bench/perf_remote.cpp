@@ -25,7 +25,7 @@
 // fleet by RemoteExecutor -> wall time + mean slice round-trip from
 // the fleet's latency counters).
 //
-// Standalone harness (like perf_serve): prints one JSON document to
+// Standalone harness (like perf_pool): prints one JSON document to
 // stdout; the checked-in BENCH_remote.json is a captured run. Usage:
 //
 //   ./build/perf_remote [--smoke]
@@ -64,9 +64,9 @@ double percentile_ms(std::vector<double> sorted_ms, double p) {
   return sorted_ms[std::min(idx, sorted_ms.size() - 1)];
 }
 
-// Cheap but real engine work (same shape as perf_serve): distinct
-// seeds per (level, client, index) make every request cold exactly
-// once per level; the warm pass replays the same seeds.
+// Cheap but real engine work: distinct seeds per (level, client,
+// index) make every request cold exactly once per level; the warm pass
+// replays the same seeds.
 rchls::api::Request workload_request(int level, int client, int index) {
   rchls::api::InjectRequest req;
   req.component = "ripple_carry_adder";

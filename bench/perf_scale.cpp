@@ -12,7 +12,7 @@
 // in the scheduler, binder or campaign loop shows up here long before
 // it shows up on paper-sized inputs.
 //
-// Standalone harness (like perf_pool / perf_serve): prints one JSON
+// Standalone harness (like perf_pool / perf_remote): prints one JSON
 // document to stdout; the checked-in BENCH_scale.json is a captured
 // run, validated by scripts/check_bench_json.py (sizes strictly
 // increasing, timings positive, generator seed recorded). Usage:

@@ -167,24 +167,4 @@ CacheKey key_of(const Request& req) {
   return std::visit([](const auto& r) { return key_of(r); }, req);
 }
 
-const Result* ResultCache::find(const CacheKey& key) {
-  auto it = entries_.find(key.canonical);
-  if (it == entries_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  return &it->second;
-}
-
-void ResultCache::store(const CacheKey& key, Result value) {
-  entries_.insert_or_assign(key.canonical, std::move(value));
-  stats_.entries = entries_.size();
-}
-
-void ResultCache::clear() {
-  entries_.clear();
-  stats_ = CacheStats{};
-}
-
 }  // namespace rchls::api

@@ -1,4 +1,4 @@
-// Content-addressed result cache for api::Session.
+// Content addresses for api::Session's result caches.
 //
 // Cache-key contract (pinned by docs/api.md and tests/api_session_test):
 // a key is the canonical text encoding of everything a request's result
@@ -13,23 +13,15 @@
 // over-inclusion can only cost a cache miss, never a wrong hit.
 //
 // The 64-bit FNV-1a digest of the canonical encoding is the compact
-// content address (logs, stats, the future wire format); the cache map
-// itself is keyed on the full canonical string, so hash collisions
-// cannot alias entries -- correctness never rests on 64 bits.
-//
-// The cache is deliberately eviction-free: results are small (designs,
-// sweep points, campaign summaries -- not netlists), scenario suites are
-// bounded, and eviction would make "which runs were served from cache"
-// dependent on traffic order, breaking the determinism statements in
-// docs/api.md. Not thread-safe; a Session confines it to one thread.
+// content address (logs, stats, disk-cache file names); the session's
+// memory map itself is keyed on the full canonical string, so hash
+// collisions cannot alias entries -- correctness never rests on 64 bits.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "api/request.hpp"
-#include "api/result.hpp"
 
 namespace rchls::api {
 
@@ -52,35 +44,5 @@ CacheKey key_of(const StaRequest& req);
 /// Variant dispatch over the typed overloads (the batch/wire entry
 /// point).
 CacheKey key_of(const Request& req);
-
-/// Hit/miss counters plus the current population. `hits + misses` is the
-/// total number of lookups since construction (clear() resets all
-/// three).
-struct CacheStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::size_t entries = 0;
-};
-
-/// The memo table: canonical encoding -> Result. find() counts a hit or
-/// a miss; store() inserts (last write wins on the -- deterministic --
-/// rare path where a caller recomputes an existing key).
-class ResultCache {
- public:
-  /// Returns the cached result or nullptr, updating the stats. The
-  /// pointer stays valid until clear() (entries are never evicted).
-  const Result* find(const CacheKey& key);
-
-  void store(const CacheKey& key, Result value);
-
-  const CacheStats& stats() const { return stats_; }
-
-  /// Drops every entry and zeroes the counters.
-  void clear();
-
- private:
-  std::unordered_map<std::string, Result> entries_;
-  CacheStats stats_;
-};
 
 }  // namespace rchls::api

@@ -19,7 +19,6 @@
 
 #include "api/disk_cache.hpp"
 #include "api/session.hpp"
-#include "api/subprocess.hpp"
 #include "api/wire.hpp"
 #include "remote/executor.hpp"
 #include "benchmarks/suite.hpp"
@@ -77,9 +76,6 @@ constexpr const char* kUsage =
     "  rchls fleet status --endpoints EP1,EP2,...\n"
     "              (per-endpoint daemon counters; an endpoint is a unix\n"
     "               socket path or host:port, see docs/remote.md)\n"
-    "  rchls exec-request <request.json> <result.json>\n"
-    "              (execute one wire request; the worker mode behind\n"
-    "               --shards, see docs/wire-protocol.md)\n"
     "  rchls bench   (list built-in benchmark graphs)\n"
     "inject components: ripple_carry_adder brent_kung_adder\n"
     "  kogge_stone_adder carry_save_multiplier leapfrog_multiplier\n"
@@ -92,12 +88,11 @@ constexpr const char* kUsage =
     "  --cache-dir DIR           persistent result cache directory\n"
     "                            (default: $RCHLS_CACHE_DIR; for `cache`:\n"
     "                            .rchls-cache)\n"
-    "  --shards N                run via N exec-request worker processes\n"
-    "                            (run and sweep)\n"
     "  --endpoints EP1,EP2,...   run via a fleet of rchls serve daemons\n"
-    "                            (run and sweep; excludes --shards)\n"
+    "                            (run, sweep and sta)\n"
     "  --timeout-ms MS           per-request reply deadline over sockets\n"
-    "                            (request and --endpoints; 0 = forever)\n"
+    "                            (request, fleet, and run/sweep/sta with\n"
+    "                            --endpoints; 0 = forever)\n"
     "  --retries N               socket retry budget (request: same\n"
     "                            connection; --endpoints: re-dispatch to\n"
     "                            another endpoint; default 0 / 3)\n"
@@ -111,7 +106,6 @@ constexpr const char* kUsage =
 struct Args {
   std::string command;
   std::string target;   // graph spec, scenario path, component, or subverb
-  std::string target2;  // exec-request only: the result file path
   std::optional<int> latency;
   std::optional<double> area;
   std::vector<double> areas;
@@ -131,7 +125,6 @@ struct Args {
   std::string versions = "fastest";  // sta/inject graph targets
   std::string lib;             // sta/inject graph targets: library file
   std::size_t jobs = 0;  // 0 = hardware concurrency
-  int shards = 0;        // 0 = in-process LocalExecutor
   std::string cache_dir;  // empty = $RCHLS_CACHE_DIR, then none
   std::string format;    // empty = per-command default
   std::string out;
@@ -142,9 +135,9 @@ struct Args {
   std::size_t workers = 2;
   std::size_t max_connections = 0;  // serve: 0 = unlimited
   int idle_timeout_s = 0;           // serve: 0 = never reap
-  std::string endpoints;            // run/sweep/fleet: daemon fleet
-  int timeout_ms = 0;               // request/fleet deadline, 0 = forever
-  int retries = -1;                 // -1 = per-command default (0 / 3)
+  std::string endpoints;            // run/sweep/sta/fleet: daemon fleet
+  std::optional<int> timeout_ms;    // socket deadline; unset = forever
+  std::optional<int> retries;       // unset = per-command default (0 / 3)
   std::optional<std::uint64_t> max_bytes;  // cache prune budget
 };
 
@@ -213,15 +206,11 @@ flag_commands() {
           {"--versions", {"inject", "sta"}},
           {"--lib", {"inject", "sta"}},
           {"--verify-cache", {"run"}},
-          {"--jobs",
-           {"run", "synth", "sweep", "inject", "sta", "exec-request",
-            "serve"}},
+          {"--jobs", {"run", "synth", "sweep", "inject", "sta", "serve"}},
           {"--format", {"run", "synth", "sweep", "inject", "sta"}},
           {"--out", {"run", "synth", "sweep", "inject", "sta", "request"}},
           {"--cache-dir",
-           {"run", "synth", "sweep", "inject", "sta", "cache",
-            "exec-request", "serve"}},
-          {"--shards", {"run", "sweep", "sta"}},
+           {"run", "synth", "sweep", "inject", "sta", "cache", "serve"}},
           {"--emit-request", {"synth", "sweep", "inject", "sta"}},
           {"--socket", {"serve", "request"}},
           {"--port", {"serve", "request"}},
@@ -231,7 +220,7 @@ flag_commands() {
           {"--idle-timeout-s", {"serve"}},
           {"--endpoints", {"run", "sweep", "sta", "fleet"}},
           {"--timeout-ms", {"request", "run", "sweep", "sta", "fleet"}},
-          {"--retries", {"request", "run", "sweep", "sta", "fleet"}},
+          {"--retries", {"request", "run", "sweep", "sta"}},
           {"--max-bytes", {"cache"}},
       };
   return table;
@@ -250,13 +239,6 @@ Args parse_args(const std::vector<std::string>& args) {
     }
     a.target = args[1];
     i = 2;
-    if (a.command == "exec-request") {
-      if (args.size() < 3 || starts_with(args[2], "--")) {
-        throw Error("exec-request needs <request.json> <result.json>");
-      }
-      a.target2 = args[2];
-      i = 3;
-    }
   }
   for (; i < args.size(); ++i) {
     const std::string& flag = args[i];
@@ -328,9 +310,6 @@ Args parse_args(const std::vector<std::string>& args) {
     } else if (flag == "--lib") {
       a.lib = next();
       if (a.lib.empty()) throw Error("--lib needs a non-empty file path");
-    } else if (flag == "--shards") {
-      a.shards = to_int(flag, next());
-      if (a.shards < 1) throw Error("--shards needs a positive count");
     } else if (flag == "--cache-dir") {
       a.cache_dir = next();
       if (a.cache_dir.empty()) {
@@ -381,10 +360,10 @@ Args parse_args(const std::vector<std::string>& args) {
       }
     } else if (flag == "--timeout-ms") {
       a.timeout_ms = to_int(flag, next());
-      if (a.timeout_ms < 0) throw Error("--timeout-ms cannot be negative");
+      if (*a.timeout_ms < 0) throw Error("--timeout-ms cannot be negative");
     } else if (flag == "--retries") {
       a.retries = to_int(flag, next());
-      if (a.retries < 0) throw Error("--retries cannot be negative");
+      if (*a.retries < 0) throw Error("--retries cannot be negative");
     } else if (flag == "--workers") {
       int w = to_int(flag, next());
       if (w < 1) throw Error("--workers needs a positive count");
@@ -403,9 +382,10 @@ Args parse_args(const std::vector<std::string>& args) {
   if (a.datapath && a.format != "table") {
     throw Error("--datapath requires --format table");
   }
-  if (a.shards > 0 && !a.endpoints.empty()) {
-    throw Error("--shards and --endpoints are different executors; "
-                "choose one");
+  // run/sweep/sta only talk to sockets through a fleet.
+  if (a.endpoints.empty() && a.command != "request" && a.command != "fleet") {
+    if (a.timeout_ms) throw Error("--timeout-ms needs --endpoints");
+    if (a.retries) throw Error("--retries needs --endpoints");
   }
   return a;
 }
@@ -453,8 +433,7 @@ int emit(const std::string& rendered, const Args& a, std::ostream& out) {
 }
 
 // --emit-request: the wire envelope is the product; nothing executes.
-// Composes with `rchls request` / `rchls exec-request`, which consume
-// these files.
+// Composes with `rchls request`, which consumes these files.
 bool emit_request_file(const Args& a, const Request& req) {
   if (a.emit_request.empty()) return false;
   if (!write_file(a.emit_request, wire::encode(req))) {
@@ -780,7 +759,7 @@ int run_serve(const Args& a, std::ostream& err) {
   server.stop();
 
   serve::ServeStats s = server.stats();
-  api::SharedSessionStats ss = server.session_stats();
+  SessionStats ss = server.session_stats();
   err << "serve: stopped connections=" << s.connections
       << " refused=" << s.refused_connections
       << " idle_reaped=" << s.idle_reaped
@@ -806,8 +785,8 @@ int run_request(const Args& a, std::ostream& out, std::ostream& err) {
   }
   std::string payload = read_file(a.target);
   serve::ClientOptions copts;
-  copts.timeout_ms = a.timeout_ms;
-  copts.retries = a.retries >= 0 ? a.retries : 0;
+  copts.timeout_ms = a.timeout_ms.value_or(0);
+  copts.retries = a.retries.value_or(0);
   serve::Client client =
       a.socket_path.empty()
           ? serve::Client::connect_tcp(*a.port, copts)
@@ -831,7 +810,7 @@ int run_fleet(const Args& a, std::ostream& out) {
   }
   remote::FleetOptions fo;
   fo.endpoints = remote::parse_endpoints(a.endpoints);
-  fo.timeout_ms = a.timeout_ms;
+  fo.timeout_ms = a.timeout_ms.value_or(0);
   fo.retries = 0;  // status probes answer for exactly one endpoint each
   remote::Fleet fleet(std::move(fo));
 
@@ -858,18 +837,6 @@ int run_fleet(const Args& a, std::ostream& out) {
   return 0;
 }
 
-// The worker mode behind SubprocessExecutor: one wire request in, one
-// wire result out. Shares the persistent cache when --cache-dir is
-// given, so repeated shard cells are disk hits even across sweeps.
-int run_exec_request(const Args& a, Session& session) {
-  Request req = wire::decode_request(read_file(a.target));
-  Result res = session.run(req);
-  if (!write_file(a.target2, wire::encode(res))) {
-    throw Error("cannot write result file '" + a.target2 + "'");
-  }
-  return 0;
-}
-
 }  // namespace
 
 int cli_main(const std::vector<std::string>& args, std::ostream& out,
@@ -878,9 +845,8 @@ int cli_main(const std::vector<std::string>& args, std::ostream& out,
   const std::string& command = args.front();
   if (command != "run" && command != "synth" && command != "sweep" &&
       command != "inject" && command != "sta" && command != "bench" &&
-      command != "cache" && command != "exec-request" &&
-      command != "serve" && command != "request" && command != "gen" &&
-      command != "fleet") {
+      command != "cache" && command != "serve" && command != "request" &&
+      command != "gen" && command != "fleet") {
     return fail_usage(err, "unknown command '" + command + "'");
   }
 
@@ -903,17 +869,11 @@ int cli_main(const std::vector<std::string>& args, std::ostream& out,
     opts.jobs = a.jobs;
     opts.cache_dir = resolved_cache_dir(a);
     std::shared_ptr<remote::RemoteExecutor> remote_exec;
-    if (a.shards > 0) {
-      SubprocessOptions so;
-      so.shards = a.shards;
-      so.cache_dir = opts.cache_dir;
-      so.jobs = a.jobs;  // workers inherit the user's --jobs cap
-      opts.executor = std::make_shared<SubprocessExecutor>(so);
-    } else if (!a.endpoints.empty()) {
+    if (!a.endpoints.empty()) {
       remote::RemoteOptions ro;
       ro.fleet.endpoints = remote::parse_endpoints(a.endpoints);
-      ro.fleet.timeout_ms = a.timeout_ms;
-      ro.fleet.retries = a.retries >= 0 ? a.retries : 3;
+      ro.fleet.timeout_ms = a.timeout_ms.value_or(0);
+      ro.fleet.retries = a.retries.value_or(3);
       remote_exec = std::make_shared<remote::RemoteExecutor>(std::move(ro));
       opts.executor = remote_exec;
     }
@@ -928,16 +888,14 @@ int cli_main(const std::vector<std::string>& args, std::ostream& out,
       code = run_sweep(a, session, out);
     } else if (a.command == "inject") {
       code = run_inject(a, session, out);
-    } else if (a.command == "sta") {
-      code = run_sta(a, session, out);
     } else {
-      return run_exec_request(a, session);
+      code = run_sta(a, session, out);
     }
     if (!opts.cache_dir.empty()) {
       // One machine-greppable summary of the persistent layer (CI's
       // cross-process warm-cache job asserts disk_misses=0 executed=0
       // on a second invocation). Stderr, so reports stay byte-stable.
-      const DiskCacheStats& ds = session.disk_stats();
+      DiskCacheStats ds = session.disk_stats();
       err << "cache: dir=" << opts.cache_dir << " disk_hits=" << ds.hits
           << " disk_misses=" << ds.misses << " stores=" << ds.stores
           << " executed=" << session.executions() << "\n";

@@ -11,16 +11,17 @@
 //    This is the default and the engine wiring every other executor
 //    bottoms out in.
 //
-//  * SubprocessExecutor (api/subprocess.hpp) -- shards Sweep/Grid
-//    requests into per-cell child requests and fans them out to
-//    `rchls exec-request` worker processes over wire files.
+//  * remote::RemoteExecutor (remote/executor.hpp) -- shards Sweep/Grid
+//    requests with api/sharding.hpp and dispatches the slices, and whole
+//    scenario batches, across a fleet of `rchls serve` daemons.
 //
 // Contract: run() is a pure function of the request -- byte-identical
 // results for equal requests, on every executor, at every worker count
-// (tests assert LocalExecutor and SubprocessExecutor render identically).
-// Infeasible bounds are results (solved == false), structural problems
-// throw rchls::Error; executors never cache (that is Session's job).
-// Executors are single-caller: confine each instance to one thread.
+// (tests assert merged shard slices and fleet runs render identically
+// to LocalExecutor). Infeasible bounds are results (solved == false),
+// structural problems throw rchls::Error; executors never cache (that
+// is Session's job). Executors are single-caller: confine each instance
+// to one thread (Session serializes its executor calls).
 #pragma once
 
 #include <cstddef>

@@ -1,12 +1,11 @@
-// Balanced request slicing -- the one slicing policy every sharding
-// executor shares.
+// Balanced request slicing -- the slicing policy behind
+// remote::RemoteExecutor (remote/executor.hpp).
 //
-// Sweep and Grid requests are embarrassingly cell-parallel, so both the
-// process-level SubprocessExecutor (api/subprocess.hpp) and the
-// network-level remote::RemoteExecutor (remote/executor.hpp) split them
-// into child requests and merge the child results back. Byte-identity
-// with LocalExecutor rests on ONE invariant, so the slicing and merging
-// live here, used by both:
+// Sweep and Grid requests are embarrassingly cell-parallel, so the
+// fleet executor splits them into child requests, dispatches each to a
+// daemon, and merges the child results back. Byte-identity with
+// LocalExecutor rests on ONE invariant, kept here apart from any
+// transport:
 //
 //  * slices are balanced CONTIGUOUS runs of the cell order (grid slices
 //    never cross a row boundary), produced purely from (request, k);
@@ -18,8 +17,9 @@
 // Because every cell is computed independently of its neighbors, the
 // merged result -- and every report rendered from it -- is
 // byte-identical to LocalExecutor's at any slice count, over any
-// transport. Tests assert this for shards 1/2/4 and endpoints 1/2/4
-// against jobs 1/8.
+// transport. Tests assert this for every slice count 1..cells+1 at jobs
+// 1/2/8 (tests/api_executor_test.cpp) and for endpoints 1/2/4 against
+// jobs 1/8 (tests/remote_test.cpp).
 #pragma once
 
 #include <cstddef>

@@ -1,102 +1,12 @@
-// api::SharedSession -- the thread-safety seam over the Session
-// layering, built for the serve daemon (src/serve/server.hpp).
-//
-// Session (session.hpp) is deliberately single-threaded: its caches
-// mutate counters on every lookup and the engines share one global
-// pool. A resident server multiplexing many client connections needs
-// the same memory-cache -> disk-cache -> executor stack, but with a
-// concurrency contract:
-//
-//  * cache HITS are lock-cheap: the memory layer is a map under a
-//    std::shared_mutex, so any number of threads serve popular requests
-//    concurrently holding only a reader lock (counters are atomics);
-//  * disk lookups serialize on their own mutex (DiskCache mutates its
-//    stats and the filesystem); a disk hit is promoted to the memory
-//    layer under a brief writer lock;
-//  * EXECUTIONS serialize on one executor mutex. The engines already
-//    parallelize internally across the process-global pool
-//    (parallel::Config), so running two engine requests concurrently
-//    would oversubscribe the host without speeding anything up -- and
-//    serializing gives in-flight deduplication for free: a second
-//    thread that misses on the same key blocks on the mutex, re-checks
-//    the cache, and finds the first thread's freshly stored result
-//    instead of recomputing it (tests assert executions() stays at one
-//    under a concurrent identical-request hammer).
-//
-// Determinism and error behavior are Session's exactly: equal requests
-// yield byte-identical results from every layer, infeasible bounds are
-// results, structural problems throw rchls::Error, and failed
-// executions are never cached. SessionOptions is reused wholesale;
-// enable_cache = false degrades to "serialize every request through
-// the executor" (still thread-safe, still correct).
+// The thread-safe session is api::Session itself (session.hpp); these
+// names remain for code written against the former serve-only type.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
-#include <memory>
-#include <mutex>
-#include <shared_mutex>
-#include <string>
-#include <unordered_map>
-
-#include "api/disk_cache.hpp"
-#include "api/executor.hpp"
-#include "api/request.hpp"
-#include "api/result.hpp"
 #include "api/session.hpp"
-#include "parallel/config.hpp"
 
 namespace rchls::api {
 
-/// Where one run() call's answer came from (per-request provenance; the
-/// serve daemon logs it and CI greps the warm pass for executed=0).
-enum class RunSource { kMemoryCache, kDiskCache, kExecuted };
-
-/// A consistent-enough snapshot of the counters (each counter is
-/// atomic; the set is sampled without a global lock).
-struct SharedSessionStats {
-  std::uint64_t hits = 0;        ///< memory-layer hits
-  std::uint64_t misses = 0;      ///< memory-layer misses
-  std::uint64_t disk_hits = 0;
-  std::uint64_t executions = 0;  ///< requests that reached the executor
-  std::uint64_t entries = 0;     ///< memory-layer population
-  /// Engine-pool counters (parallel::pool_stats(); process-global, so
-  /// they cover every execution this session triggered -- the serve
-  /// daemon prints them in its stats line and shutdown summary).
-  parallel::PoolStats pool;
-};
-
-class SharedSession {
- public:
-  /// Same knobs as Session (jobs writes the global parallel config,
-  /// cache_dir opens the persistent layer, executor defaults to a
-  /// private LocalExecutor).
-  explicit SharedSession(SessionOptions options = {});
-
-  /// Thread-safe Session::run. Any thread, any time after construction.
-  Result run(const Request& req, RunSource* source = nullptr);
-
-  SharedSessionStats stats() const;
-  std::uint64_t executions() const {
-    return executions_.load(std::memory_order_relaxed);
-  }
-
- private:
-  SessionOptions options_;
-  std::shared_ptr<Executor> executor_;
-
-  mutable std::shared_mutex cache_mu_;  ///< guards entries_
-  std::unordered_map<std::string, Result> entries_;
-
-  std::mutex disk_mu_;  ///< guards disk_ (stats + filesystem)
-  std::unique_ptr<DiskCache> disk_;
-
-  std::mutex exec_mu_;  ///< serializes executor runs (see header)
-
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> disk_hits_{0};
-  std::atomic<std::uint64_t> executions_{0};
-};
+using SharedSession = Session;
+using SharedSessionStats = SessionStats;
 
 }  // namespace rchls::api

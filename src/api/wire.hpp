@@ -10,8 +10,9 @@
 //
 // Three consumers share this format (full schema: docs/wire-protocol.md):
 //
-//  * api::SubprocessExecutor ships sharded child requests to
-//    `rchls exec-request` worker processes and reads their results back;
+//  * the serve daemon (serve/server.hpp) and its clients -- `rchls
+//    request` and remote::RemoteExecutor's fleet -- exchange requests
+//    and results as framed envelopes;
 //  * api::DiskCache persists results under `.rchls-cache/<digest>.json`
 //    so separate CLI invocations share one warm cache;
 //  * embedders that want to queue or route engine work out of process.

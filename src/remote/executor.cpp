@@ -40,9 +40,9 @@ std::vector<api::Result> RemoteExecutor::dispatch_all(
   std::vector<api::Result> results(reqs.size());
   std::vector<std::string> errors(reqs.size());
 
-  // Static index striding, like SubprocessExecutor::run_cells: slot t
-  // handles requests t, t+T, t+2T... and results land BY INDEX, so the
-  // caller's merge order is the request order, never completion order.
+  // Static index striding: slot t handles requests t, t+T, t+2T... and
+  // results land BY INDEX, so the caller's merge order is the request
+  // order, never completion order.
   auto drive = [&](std::size_t t, std::size_t stride) {
     for (std::size_t i = t; i < reqs.size(); i += stride) {
       try {

@@ -1,13 +1,11 @@
 // remote::RemoteExecutor -- the network rung of the execution seam:
 // api::Executor over a remote::Fleet of `rchls serve` daemons.
 //
-// Where SubprocessExecutor (api/subprocess.hpp) fans sharded work out
-// to freshly spawned worker PROCESSES, RemoteExecutor fans it out to
-// RESIDENT daemons over the framed wire protocol -- paying a socket
-// round-trip per slice instead of a process spawn, and hitting each
-// daemon's warm memory/disk caches. Both use the exact same slicing
-// and merging (api/sharding.hpp), which is what makes the results
-// byte-identical to LocalExecutor's:
+// RemoteExecutor fans work out to RESIDENT daemons over the framed wire
+// protocol -- paying a socket round-trip per slice and hitting each
+// daemon's warm memory/disk caches. The slicing and merging come from
+// api/sharding.hpp, which is what makes the results byte-identical to
+// LocalExecutor's:
 //
 //  * Sweep/Grid requests shard into balanced contiguous slices
 //    (RemoteOptions::slices, default 2 per endpoint so the fleet can
@@ -24,8 +22,7 @@
 // (FleetDownError), the slice DEGRADES to an in-process LocalExecutor
 // run (serialized -- the engines own the parallelism) so a sweep
 // finishes correctly, just slower, with every daemon gone. Any other
-// error aborts with the first failing slice's message, like
-// SubprocessExecutor's first-failing-cell contract.
+// error aborts with the first failing slice's message.
 //
 // Single-caller like every Executor (confine an instance to one
 // thread); the slice fan-out threads inside are an implementation

@@ -2,7 +2,7 @@
 // connection speaking the framed wire protocol (serve/protocol.hpp).
 //
 // This is what `rchls request` is built on, and what tests and
-// bench/perf_serve use to drive an in-process daemon over real sockets.
+// perfbench use to drive an in-process daemon over real sockets.
 // One Client is one connection with synchronous call semantics: each
 // call sends one frame and blocks for its one reply frame (the server
 // guarantees request-ordered replies, so pipelining is possible over

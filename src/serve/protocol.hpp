@@ -62,7 +62,7 @@ struct Reply {
 Reply decode_reply(const std::string& payload);
 
 /// One daemon's lifetime counters as carried by the stats envelope --
-/// the serve::ServeStats and api::SharedSessionStats counters flattened
+/// the serve::ServeStats and api::SessionStats counters flattened
 /// into one wire-stable struct.
 struct DaemonStats {
   std::uint64_t connections = 0;  ///< admitted connections

@@ -274,7 +274,7 @@ void Server::worker_loop() {
 
 DaemonStats Server::daemon_stats() const {
   ServeStats serve = stats();
-  api::SharedSessionStats session = session_.stats();
+  api::SessionStats session = session_.stats();
   DaemonStats d;
   d.connections = serve.connections;
   d.active_connections = serve.active_connections;

@@ -1,13 +1,13 @@
 // serve::Server -- the resident request daemon behind `rchls serve`.
 //
-// One Server keeps one warm api::SharedSession (memory cache -> disk
+// One Server keeps one warm api::Session (memory cache -> disk
 // cache -> executor) resident and serves wire envelopes to any number
 // of concurrent clients over length-framed sockets (util/socket):
 //
 //   listeners (unix path, optional 127.0.0.1 TCP)
 //     -> one reader thread per accepted connection
 //       -> bounded handoff queue (serve/queue.hpp)  [backpressure]
-//         -> worker pool, each worker: decode -> SharedSession::run
+//         -> worker pool, each worker: decode -> Session::run
 //            -> encode -> ordered per-connection reply
 //
 // Contracts (docs/serving.md spells out the full lifecycle):
@@ -31,8 +31,8 @@
 //
 // Construction binds and starts serving; stop() (idempotent, also run
 // by the destructor) refuses new work, drains accepted requests, and
-// joins every thread. Tests and bench/perf_serve run Servers
-// in-process; the CLI wraps one in a signal-driven main loop.
+// joins every thread. Tests and perfbench run Servers in-process; the
+// CLI wraps one in a signal-driven main loop.
 #pragma once
 
 #include <atomic>
@@ -45,7 +45,7 @@
 #include <thread>
 #include <vector>
 
-#include "api/shared_session.hpp"
+#include "api/session.hpp"
 #include "serve/protocol.hpp"
 #include "serve/queue.hpp"
 #include "util/socket.hpp"
@@ -63,8 +63,8 @@ struct ServerOptions {
   /// this are refused with an overflow error envelope (>= 1).
   std::size_t max_queue = 64;
   /// Worker threads draining the queue (>= 1). Cache hits are served
-  /// concurrently; executions additionally serialize inside
-  /// SharedSession (the engines own the parallelism).
+  /// concurrently; executions additionally serialize inside the
+  /// Session (the engines own the parallelism).
   std::size_t workers = 2;
   /// Per-frame payload cap (clamped to util::kMaxFrameBytes).
   std::uint32_t max_frame_bytes = util::kMaxFrameBytes;
@@ -119,7 +119,7 @@ class Server {
   const std::string& socket_path() const { return options_.socket_path; }
 
   ServeStats stats() const;
-  api::SharedSessionStats session_stats() const { return session_.stats(); }
+  api::SessionStats session_stats() const { return session_.stats(); }
   /// The serve + session counters flattened into the stats-envelope
   /// shape -- what a `kind:"stats"` request is answered with.
   DaemonStats daemon_stats() const;
@@ -156,7 +156,7 @@ class Server {
 
   ServerOptions options_;
   int tcp_port_ = 0;
-  api::SharedSession session_;
+  api::Session session_;
   BoundedQueue<Job> queue_;
 
   std::vector<util::Listener> listeners_;

@@ -4,10 +4,8 @@
 // drive it in-process; this wrapper only adapts argv and the standard
 // streams. Run `rchls` with no arguments for usage, subcommands, flags
 // and the exit-code contract (docs/api.md documents the api facade the
-// subcommands are thin clients of; docs/wire-protocol.md the
-// `exec-request` worker mode and the `cache` subcommand's on-disk
-// layout). Note for sharded runs: `--shards` re-invokes THIS executable
-// (resolved via /proc/self/exe) as its worker processes.
+// subcommands are thin clients of; docs/wire-protocol.md the request
+// files and the `cache` subcommand's on-disk layout).
 #include <iostream>
 #include <string>
 #include <vector>

@@ -1,6 +1,6 @@
 // Tiny filesystem/process helpers shared by the api wire-file plumbing
-// (disk cache, subprocess executor, exec-request CLI mode) -- one
-// implementation so platform quirks live in exactly one place.
+// (disk cache, the CLI's request files) -- one implementation so
+// platform quirks live in exactly one place.
 #pragma once
 
 #include <filesystem>

@@ -25,8 +25,7 @@
 // ...") -- except recv_frame's clean end-of-stream, which is a regular
 // return (nullopt), because a peer hanging up between frames is normal
 // protocol flow, not a failure. Windows is unsupported: every entry
-// point throws there (the serve subsystem is POSIX-only, like the
-// subprocess executor's real spawn path).
+// point throws there (the serve subsystem is POSIX-only).
 #pragma once
 
 #include <cstdint>

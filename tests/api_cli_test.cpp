@@ -5,7 +5,6 @@
 // one-action scenario.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -102,6 +101,37 @@ TEST_F(ApiCliTest, EveryBadArgumentPathSharesTheErrorPrefix) {
     for (const auto& a : args) joined += a + " ";
     EXPECT_EQ(r.code, 1) << joined;
     EXPECT_TRUE(starts_with(r.err, "error: ")) << joined << "-> " << r.err;
+  }
+
+  // Socket flags a command would ignore (no fleet to apply them to, or
+  // fleet status, whose probes never retry) and the retired sharding
+  // surface fail for the stated reason.
+  const std::vector<std::string> sweep = {"sweep", "fir16", "--latency",
+                                          "11", "--areas", "9,10"};
+  auto with = [&](std::vector<std::string> extra) {
+    std::vector<std::string> v = sweep;
+    v.insert(v.end(), extra.begin(), extra.end());
+    return v;
+  };
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      exact = {
+          {with({"--retries", "5", "--timeout-ms", "10"}),
+           "error: --timeout-ms needs --endpoints"},
+          {with({"--retries", "5"}), "error: --retries needs --endpoints"},
+          {{"run", "x.scn", "--timeout-ms", "10"},
+           "error: --timeout-ms needs --endpoints"},
+          {{"sta", "ripple_carry_adder", "--retries", "1"},
+           "error: --retries needs --endpoints"},
+          {{"fleet", "status", "--endpoints", "d.sock", "--retries", "1"},
+           "error: --retries does not apply to 'rchls fleet'"},
+          {with({"--shards", "2"}), "error: unknown flag '--shards'"},
+          {{"exec-request", "req.json", "res.json"},
+           "error: unknown command 'exec-request'"},
+      };
+  for (const auto& [args, prefix] : exact) {
+    CliRun r = cli(args);
+    EXPECT_EQ(r.code, 1) << prefix;
+    EXPECT_TRUE(starts_with(r.err, prefix)) << r.err;
   }
 }
 
@@ -268,10 +298,9 @@ TEST_F(ApiCliTest, StaBadArgumentsShareTheErrorPrefix) {
   }
 }
 
-// The ISSUE-pinned determinism matrix for `rchls sta`: the JSON report
-// is byte-identical at --jobs 1 vs 8 and over a two-daemon fleet
-// (--endpoints against in-process serve daemons). The --shards leg runs
-// against the real binary in StaReportIsByteIdenticalAcrossShardCounts.
+// The determinism matrix for `rchls sta`: the JSON report is
+// byte-identical at --jobs 1 vs 8 and over a two-daemon fleet
+// (--endpoints against in-process serve daemons).
 TEST_F(ApiCliTest, StaReportIsByteIdenticalAcrossJobsAndFleet) {
   const std::vector<std::string> base = {
       "sta", "kogge_stone_adder", "--width", "4", "--trials", "64",
@@ -306,41 +335,6 @@ TEST_F(ApiCliTest, StaReportIsByteIdenticalAcrossJobsAndFleet) {
   EXPECT_EQ(fleet.out, ref.out) << "sta differs over a 2-daemon fleet";
   EXPECT_NE(fleet.err.find("local_fallbacks=0"), std::string::npos)
       << fleet.err;
-}
-
-// The --shards leg needs a real worker binary: in-process cli_main
-// would re-exec THIS test binary as the exec-request worker. Spawns the
-// built rchls (sibling of the tests under the build tree) instead.
-TEST_F(ApiCliTest, StaReportIsByteIdenticalAcrossShardCounts) {
-#ifndef RCHLS_BINARY_DIR
-  GTEST_SKIP() << "RCHLS_BINARY_DIR not configured";
-#else
-  std::filesystem::path binary =
-      std::filesystem::path(RCHLS_BINARY_DIR) / "rchls";
-  if (!std::filesystem::exists(binary)) {
-    GTEST_SKIP() << "rchls binary not built at " << binary;
-  }
-  CliRun ref = cli({"sta", "kogge_stone_adder", "--width", "4",
-                    "--trials", "64", "--seed", "3", "--top", "5",
-                    "--format", "json"});
-  ASSERT_EQ(ref.code, 0) << ref.err;
-
-  for (int shards : {1, 2}) {
-    std::filesystem::path out_path =
-        dir_ / ("shards_" + std::to_string(shards) + ".json");
-    std::string cmd = "'" + binary.string() +
-                      "' sta kogge_stone_adder --width 4 --trials 64"
-                      " --seed 3 --top 5 --format json --shards " +
-                      std::to_string(shards) + " --out '" +
-                      out_path.string() + "' 2>/dev/null";
-    ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-    std::ifstream in(out_path, std::ios::binary);
-    ASSERT_TRUE(in.good()) << out_path;
-    std::ostringstream got;
-    got << in.rdbuf();
-    EXPECT_EQ(got.str(), ref.out) << "sta differs at --shards " << shards;
-  }
-#endif
 }
 
 // ----------------------------------------------------------- verify-cache

@@ -1,25 +1,14 @@
-// Executor-seam tests (api/executor.hpp, api/subprocess.hpp): the
-// byte-identity acceptance criterion -- a sweep/grid executed via
-// SubprocessExecutor at shards 1/2/4 renders byte-identical to
-// LocalExecutor at jobs 1/2/8 -- plus sharding observability and worker
-// failure behavior.
-//
-// The in-process spawn hook routes each worker through cli_main's
-// exec-request mode (real wire files on disk, real decode/execute/
-// encode), so everything but the fork() is the production path; the
-// fork() itself is covered by the real-binary test below and CI's shard
-// smoke job.
+// Executor-seam tests (api/executor.hpp, api/sharding.hpp): the
+// sharding invariant every fleet run rests on -- any slice count of a
+// sweep/grid, executed slice by slice through LocalExecutor and merged
+// back, renders byte-identical to the unsharded request at jobs 1/2/8
+// -- plus the graph-target engine seams and StaRequest validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
-#include <mutex>
-#include <sstream>
 
-#include "api/cli.hpp"
-#include "api/session.hpp"
-#include "api/subprocess.hpp"
+#include "api/executor.hpp"
+#include "api/sharding.hpp"
 #include "benchmarks/suite.hpp"
 #include "netlist/topology.hpp"
 #include "parallel/config.hpp"
@@ -30,7 +19,6 @@
 #include "sta/sensitivity.hpp"
 #include "sta/timing.hpp"
 #include "rtl/elaborate.hpp"
-#include "temp_dir.hpp"
 #include "util/error.hpp"
 
 namespace rchls::api {
@@ -44,45 +32,6 @@ class JobsGuard {
  private:
   std::size_t saved_;
 };
-
-// Every test gets its own scratch work_dir (gtest_discover_tests runs
-// each TEST as a concurrent process in one CWD, so a shared name would
-// race) and removes it on exit -- no `api_executor_test_tmp/` litter
-// left in the source tree after a test run.
-class ScopedWorkDir {
- public:
-  ScopedWorkDir()
-      : dir_(rchls::testing::unique_test_dir("api_executor_test_tmp")) {}
-  ~ScopedWorkDir() {
-    std::error_code ec;  // best effort; never throw from a destructor
-    std::filesystem::remove_all(dir_, ec);
-  }
-  const std::filesystem::path& path() const { return dir_; }
-
- private:
-  std::filesystem::path dir_;
-};
-
-// Runs `rchls exec-request` in-process. cli_main is not re-entrant-safe
-// under TSan-visible concurrency (the engines share one global pool),
-// so the hook serializes workers; SubprocessExecutor's sharding and
-// index-ordered merge are exercised regardless.
-SubprocessOptions hooked_options(int shards,
-                                 const std::filesystem::path& work_dir) {
-  SubprocessOptions so;
-  so.shards = shards;
-  so.work_dir = work_dir.string();
-  so.spawn = [](const std::vector<std::string>& argv,
-                const std::filesystem::path& stderr_file) {
-    static std::mutex mu;
-    std::lock_guard<std::mutex> lock(mu);
-    std::ostringstream out;
-    std::ofstream err(stderr_file);
-    return cli_main(std::vector<std::string>(argv.begin() + 1, argv.end()),
-                    out, err);
-  };
-  return so;
-}
 
 SweepRequest sweep_request() {
   SweepRequest req;
@@ -115,159 +64,82 @@ std::string rendered(ResultT r) {
   return scenario::report::to_json(report);
 }
 
-// -------------------------------------------------- byte-identity matrix
+// ------------------------------------------------ sharding invariant
 
-// The PR acceptance criterion: shards 1/2/4 x jobs 1/2/8, all
-// byte-identical to the single-process, single-job rendering.
+// Runs every slice of a sharded request through LocalExecutor, in slice
+// order, for the caller to merge -- what remote::RemoteExecutor does
+// over sockets, minus the transport.
+template <typename RequestT>
+std::vector<Result> run_slices(const std::vector<Request>& slices) {
+  LocalExecutor local;
+  Executor& exec = local;  // the variant dispatcher
+  std::vector<Result> parts;
+  for (const Request& slice : slices) {
+    EXPECT_TRUE(std::holds_alternative<RequestT>(slice));
+    parts.push_back(exec.run(slice));
+  }
+  return parts;
+}
+
+// Every slice count from 1 to cells+1, at jobs 1/2/8, on both sweep
+// axes: merged slices render byte-identical to the unsharded run.
 TEST(ApiExecutor, ShardedSweepIsByteIdenticalToLocalAtAnyJobsAndShards) {
   JobsGuard guard;
-  ScopedWorkDir wd;
-  parallel::set_global_jobs(1);
-  LocalExecutor local;
-  const std::string reference = rendered(local.run(sweep_request()));
+  SweepRequest by_latency = sweep_request();
+  by_latency.axis = SweepAxis::kLatency;
+  by_latency.latency_bounds = {5, 6, 7, 8};
+  by_latency.area_bounds = {10.0};
 
-  for (int shards : {1, 2, 4}) {
-    for (std::size_t jobs : {1u, 2u, 8u}) {
-      parallel::set_global_jobs(jobs);
-      SubprocessExecutor sub(hooked_options(shards, wd.path()));
-      EXPECT_EQ(rendered(sub.run(sweep_request())), reference)
-          << "shards=" << shards << " jobs=" << jobs;
-      EXPECT_EQ(sub.workers_launched(),
-                std::min<std::uint64_t>(static_cast<std::uint64_t>(shards),
-                                        5u))
-          << "one worker per batched slice, capped by the cell count";
+  for (const SweepRequest& req : {sweep_request(), by_latency}) {
+    parallel::set_global_jobs(1);
+    LocalExecutor local;
+    const std::string reference = rendered(local.run(req));
+    const std::size_t cells = req.axis == SweepAxis::kArea
+                                  ? req.area_bounds.size()
+                                  : req.latency_bounds.size();
+    for (std::size_t k = 1; k <= cells + 1; ++k) {
+      for (std::size_t jobs : {1u, 2u, 8u}) {
+        parallel::set_global_jobs(jobs);
+        std::vector<Request> slices = shard_sweep(req, k);
+        EXPECT_EQ(slices.size(), std::min(k, cells)) << "k=" << k;
+        std::vector<Result> parts = run_slices<SweepRequest>(slices);
+        EXPECT_EQ(rendered(merge_sweep(req, parts)), reference)
+            << "k=" << k << " jobs=" << jobs;
+      }
     }
   }
 }
 
 TEST(ApiExecutor, ShardedGridIsByteIdenticalIncludingAverages) {
   JobsGuard guard;
-  ScopedWorkDir wd;
-  parallel::set_global_jobs(2);
+  const GridRequest req = grid_request();
+  parallel::set_global_jobs(1);
   LocalExecutor local;
-  const std::string reference = rendered(local.run(grid_request()));
+  const std::string reference = rendered(local.run(req));
+  const std::size_t cells =
+      req.latency_bounds.size() * req.area_bounds.size();
 
-  for (int shards : {2, 4}) {
-    SubprocessExecutor sub(hooked_options(shards, wd.path()));
-    EXPECT_EQ(rendered(sub.run(grid_request())), reference)
-        << "shards=" << shards;
-    // 2x3 grid: balanced row-respecting slices give exactly `shards`
-    // workers here (2 -> one per row; 4 -> each row split in two).
-    EXPECT_EQ(sub.workers_launched(), static_cast<std::uint64_t>(shards));
-  }
-}
-
-TEST(ApiExecutor, SingleRequestKindsGoOverTheWireToo) {
-  InjectRequest req;
-  req.component = "ripple_carry_adder";
-  req.width = 4;
-  req.trials = 128;
-  req.seed = 3;
-
-  ScopedWorkDir wd;
-  LocalExecutor local;
-  SubprocessExecutor sub(hooked_options(2, wd.path()));
-  EXPECT_EQ(rendered(sub.run(req)), rendered(local.run(req)));
-  EXPECT_EQ(sub.workers_launched(), 1u);
-}
-
-// --------------------------------------------------- session integration
-
-TEST(ApiExecutor, SessionCachesShardedResultsLikeLocalOnes) {
-  ScopedWorkDir wd;
-  SessionOptions opts;
-  opts.executor =
-      std::make_shared<SubprocessExecutor>(hooked_options(2, wd.path()));
-  Session session(opts);
-
-  SweepResult cold = session.run(sweep_request());
-  SweepResult warm = session.run(sweep_request());
-  EXPECT_EQ(session.cache_stats().hits, 1u);
-  EXPECT_EQ(session.executions(), 1u);
-  EXPECT_EQ(rendered(std::move(cold)), rendered(std::move(warm)));
-}
-
-// The user's --jobs cap must reach the workers: N shards each running
-// hardware-concurrency threads would oversubscribe the host.
-TEST(ApiExecutor, ForwardsJobsAndCacheDirToWorkers) {
-  JobsGuard guard;
-  ScopedWorkDir wd;
-  SubprocessOptions so = hooked_options(2, wd.path());
-  so.jobs = 3;
-  so.cache_dir = (wd.path() / "jobs_cache").string();
-  std::vector<std::string> seen;
-  auto inner = so.spawn;
-  so.spawn = [&, inner](const std::vector<std::string>& argv,
-                        const std::filesystem::path& stderr_file) {
-    static std::mutex mu;
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      seen = argv;
+  for (std::size_t k = 1; k <= cells + 1; ++k) {
+    for (std::size_t jobs : {1u, 2u, 8u}) {
+      parallel::set_global_jobs(jobs);
+      std::vector<Request> slices = shard_grid(req, k);
+      // Slices never cross a row boundary: at least one per row, each a
+      // one-latency grid; each row boundary adds at most one cut to the
+      // k - 1 balanced ones.
+      const std::size_t rows = req.latency_bounds.size();
+      EXPECT_GE(slices.size(), rows) << "k=" << k;
+      EXPECT_LE(slices.size(), std::min(k + rows - 1, cells)) << "k=" << k;
+      for (const Request& slice : slices) {
+        EXPECT_EQ(std::get<GridRequest>(slice).latency_bounds.size(), 1u);
+      }
+      std::vector<Result> parts = run_slices<GridRequest>(slices);
+      EXPECT_EQ(rendered(merge_grid(req, parts)), reference)
+          << "k=" << k << " jobs=" << jobs;
     }
-    return inner(argv, stderr_file);
-  };
-
-  SubprocessExecutor sub(so);
-  InjectRequest req;
-  req.component = "ripple_carry_adder";
-  req.width = 4;
-  req.trials = 128;
-  sub.run(req);
-
-  auto has = [&](const std::string& s) {
-    return std::find(seen.begin(), seen.end(), s) != seen.end();
-  };
-  EXPECT_TRUE(has("--jobs")) << "jobs cap not forwarded";
-  EXPECT_TRUE(has("3"));
-  EXPECT_TRUE(has("--cache-dir"));
-}
-
-// ----------------------------------------------------------- failure path
-
-TEST(ApiExecutor, FailingWorkerFailsTheWholeRequestWithItsStderr) {
-  ScopedWorkDir wd;
-  SubprocessOptions so;
-  so.shards = 2;
-  so.work_dir = wd.path().string();
-  so.spawn = [](const std::vector<std::string>&,
-                const std::filesystem::path& stderr_file) {
-    std::ofstream err(stderr_file);
-    err << "error: worker exploded\n";
-    return 1;
-  };
-  SubprocessExecutor sub(so);
-  try {
-    sub.run(sweep_request());
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("shard cell 0"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("worker exploded"), std::string::npos) << msg;
   }
-}
-
-TEST(ApiExecutor, RejectsNonPositiveShardCounts) {
-  SubprocessOptions so;
-  so.shards = 0;
-  EXPECT_THROW(SubprocessExecutor{so}, Error);
 }
 
 // ----------------------------------------------------------- sta / design
-
-TEST(ApiExecutor, StaRequestsGoOverTheWireByteIdentically) {
-  StaRequest req;
-  req.component = "brent_kung_adder";
-  req.width = 4;
-  req.trials = 128;
-  req.seed = 3;
-  req.top = 5;
-
-  ScopedWorkDir wd;
-  LocalExecutor local;
-  SubprocessExecutor sub(hooked_options(2, wd.path()));
-  EXPECT_EQ(rendered(sub.run(req)), rendered(local.run(req)));
-  EXPECT_EQ(sub.workers_launched(), 1u);
-}
 
 // The graph-target seam: a rank_gates request over an elaborated design
 // must reproduce exactly what the engines say when called by hand on
@@ -361,34 +233,6 @@ TEST(ApiExecutor, StaRejectsInvalidParameters) {
   both_targets.graph = benchmarks::by_name("fig4_example");
   both_targets.library = library::paper_library();
   EXPECT_THROW(local.run(both_targets), Error);
-}
-
-// ------------------------------------------------------- real subprocess
-
-// End-to-end across a REAL process boundary: spawns the built rchls
-// binary (sibling of this test executable under the build tree). Skipped
-// when the binary is not there (e.g. a tests-only build).
-TEST(ApiExecutor, RealWorkerProcessesProduceIdenticalBytes) {
-#ifndef RCHLS_BINARY_DIR
-  GTEST_SKIP() << "RCHLS_BINARY_DIR not configured";
-#else
-  std::filesystem::path binary =
-      std::filesystem::path(RCHLS_BINARY_DIR) / "rchls";
-  if (!std::filesystem::exists(binary)) {
-    GTEST_SKIP() << "rchls binary not built at " << binary;
-  }
-  JobsGuard guard;
-  ScopedWorkDir wd;
-  parallel::set_global_jobs(2);
-  LocalExecutor local;
-  SubprocessOptions so;
-  so.shards = 4;
-  so.work_dir = wd.path().string();
-  so.worker_command = {binary.string(), "exec-request"};
-  SubprocessExecutor sub(so);
-  EXPECT_EQ(rendered(sub.run(sweep_request())),
-            rendered(local.run(sweep_request())));
-#endif
 }
 
 }  // namespace

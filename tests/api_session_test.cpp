@@ -2,12 +2,19 @@
 // determinism guarantee (cached results byte-identical to cold runs at
 // any worker count), and the delta-recompute property (editing one
 // action of a multi-action scenario recomputes only that action --
-// asserted through Session cache stats, per the PR acceptance
-// criteria).
+// asserted through Session cache stats), and one Session shared by
+// concurrent callers.
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <filesystem>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "api/cache.hpp"
 #include "api/session.hpp"
+#include "api/wire.hpp"
 #include "benchmarks/suite.hpp"
 #include "hls/find_design.hpp"
 #include "library/resource.hpp"
@@ -15,6 +22,7 @@
 #include "scenario/parse.hpp"
 #include "scenario/report.hpp"
 #include "scenario/runner.hpp"
+#include "temp_dir.hpp"
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -362,6 +370,119 @@ TEST(ApiSession, EditingTheGraphInvalidatesSynthesisActionsOnly) {
   scenario::run(scenario::parse_string(after), session);
   EXPECT_EQ(session.cache_stats().misses, 3u);
   EXPECT_EQ(session.cache_stats().hits, 1u) << "inject stays cached";
+}
+
+// ------------------------------------------------------- thread safety
+
+// One Session with a disk cache, shared by several threads running
+// overlapping requests: every distinct request executes exactly once
+// (disk-primed ones never), every answer is byte-identical to a serial
+// Session's, and the per-call provenance adds up to the counters.
+TEST(ApiSession, ConcurrentCallersShareOneSessionAndExecuteEachRequestOnce) {
+  const std::filesystem::path dir =
+      rchls::testing::unique_test_dir("api_session_test_tmp");
+  std::vector<Request> reqs;
+  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+    InjectRequest r = small_inject();
+    r.seed = seed;
+    reqs.push_back(r);
+  }
+  for (double area : {8.0, 10.0}) {
+    FindDesignRequest r = small_find_design();
+    r.area_bound = area;
+    reqs.push_back(r);
+  }
+  reqs.push_back(small_sta());
+  StaRequest sta = small_sta();
+  sta.seed = 9;
+  reqs.push_back(sta);
+  const std::size_t primed = 3;  // reqs[0..primed) start on disk
+
+  std::vector<std::string> want;
+  Session serial;
+  for (const Request& r : reqs) want.push_back(wire::encode(serial.run(r)));
+
+  SessionOptions opts;
+  opts.cache_dir = dir.string();
+  {
+    Session primer(opts);
+    for (std::size_t i = 0; i < primed; ++i) primer.run(reqs[i]);
+  }
+
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPasses = 2;
+  Session shared(opts);
+  struct Answer {
+    std::size_t index;
+    RunSource source;
+    std::string bytes;
+  };
+  std::vector<std::vector<Answer>> answers(kThreads);
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Each thread starts at a different request, so first lookups of
+      // one key overlap across threads.
+      for (std::size_t pass = 0; pass < kPasses; ++pass) {
+        for (std::size_t j = 0; j < reqs.size(); ++j) {
+          const std::size_t i = (j + t * 2) % reqs.size();
+          RunSource source = RunSource::kExecuted;
+          Result r = shared.run(reqs[i], &source);
+          answers[t].push_back({i, source, wire::encode(r)});
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  std::vector<std::size_t> executed(reqs.size(), 0);
+  std::vector<std::size_t> from_disk(reqs.size(), 0);
+  std::uint64_t memory = 0;
+  std::uint64_t lookups = 0;
+  for (const auto& per_thread : answers) {
+    for (const Answer& a : per_thread) {
+      ++lookups;
+      EXPECT_EQ(a.bytes, want[a.index]) << "request " << a.index;
+      switch (a.source) {
+        case RunSource::kMemoryCache: ++memory; break;
+        case RunSource::kDiskCache: ++from_disk[a.index]; break;
+        case RunSource::kExecuted: ++executed[a.index]; break;
+      }
+    }
+  }
+  EXPECT_EQ(lookups, kThreads * kPasses * reqs.size());
+  std::uint64_t executions = 0;
+  std::uint64_t disk_hits = 0;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    EXPECT_EQ(executed[i], i < primed ? 0u : 1u) << "request " << i;
+    if (i < primed) EXPECT_GE(from_disk[i], 1u) << "request " << i;
+    executions += executed[i];
+    disk_hits += from_disk[i];
+  }
+
+  const CacheStats stats = shared.cache_stats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups);
+  EXPECT_EQ(stats.hits, memory);
+  EXPECT_EQ(stats.misses, disk_hits + executions);
+  EXPECT_EQ(stats.entries, reqs.size());
+  EXPECT_EQ(shared.executions(), executions);
+  EXPECT_EQ(shared.executions(), reqs.size() - primed);
+  EXPECT_EQ(shared.disk_stats().hits, disk_hits);
+  const SessionStats all = shared.stats();
+  EXPECT_EQ(all.hits, stats.hits);
+  EXPECT_EQ(all.disk_hits, disk_hits);
+  EXPECT_EQ(all.executions, executions);
+
+  // Warm now: a last pass is answered by memory alone.
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    RunSource source = RunSource::kExecuted;
+    EXPECT_EQ(wire::encode(shared.run(reqs[i], &source)), want[i]);
+    EXPECT_EQ(source, RunSource::kMemoryCache) << "request " << i;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -20,6 +20,13 @@ struct AdderCase {
   int width;
 };
 
+// Without this, gtest prints the case as raw bytes, pointers included, and
+// the ctest names gtest_discover_tests builds from that change from build to
+// build and from run to run.
+void PrintTo(const AdderCase& c, std::ostream* os) {
+  *os << c.name << "/" << c.width;
+}
+
 class AdderFunctional : public ::testing::TestWithParam<AdderCase> {};
 
 TEST_P(AdderFunctional, MatchesReferenceArithmetic) {

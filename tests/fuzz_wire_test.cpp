@@ -1,6 +1,6 @@
 // Differential fuzzing of the wire codec (api/wire.hpp). The decoders
-// read untrusted bytes -- exec-request stdin, serve sockets, on-disk
-// cache entries -- so the contract under fire is total: for ANY input,
+// read untrusted bytes -- request files, serve sockets, on-disk cache
+// entries -- so the contract under fire is total: for ANY input,
 // decode_request/decode_result either return a value whose re-encoding
 // is a byte fixed point, or throw rchls::Error. No crashes, no hangs,
 // no foreign exception types, no partially-constructed results.

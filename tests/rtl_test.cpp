@@ -87,9 +87,11 @@ TEST(Compose, RejectsBadDrivers) {
   EXPECT_THROW(netlist::append(dst, adder, {0, 0, 0, 0, 99}), Error);
 }
 
+// std::string, not const char*: gtest prints a const char* tuple element with
+// its address, which would put a per-run value into the ctest names.
 class ElaborateBenchmarks
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*,
-                                                 const char*>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, std::string,
+                                                 std::string>> {};
 
 TEST_P(ElaborateBenchmarks, MatchesSoftwareReference) {
   auto [bench, adder, mult] = GetParam();
