@@ -48,18 +48,34 @@ std::uint64_t FaultEngine::eval_gate(const Gate& g) const {
   }
 }
 
-void FaultEngine::enqueue_fanouts(GateId id) {
+void FaultEngine::enqueue_fanouts(GateId id, std::uint32_t last_level) {
   for (const GateId* f = topo_.fanout_begin(id); f != topo_.fanout_end(id);
        ++f) {
-    if (queued_[*f] != epoch_) {
+    // A gate that reaches no output cannot change the corruption word,
+    // and a gate past the last level is not asked for.
+    std::uint32_t lvl = topo_.level(*f);
+    if (queued_[*f] != epoch_ && lvl <= last_level && topo_.is_live(*f)) {
       queued_[*f] = epoch_;
-      buckets_[topo_.level(*f)].push_back(*f);
+      buckets_[lvl].push_back(*f);
       ++pending_;
     }
   }
 }
 
 std::uint64_t FaultEngine::inject(const Fault& fault) {
+  return propagate(fault, topo_.max_level());
+}
+
+std::uint64_t FaultEngine::inject_until(const Fault& fault, GateId stop) {
+  if (stop >= nl_.gate_count() || !topo_.is_live(stop)) {
+    throw Error("FaultEngine::inject_until: stop gate must be live");
+  }
+  propagate(fault, topo_.level(stop));
+  return value_of(stop) ^ golden_[stop];
+}
+
+std::uint64_t FaultEngine::propagate(const Fault& fault,
+                                     std::uint32_t last_level) {
   if (!have_inputs_) {
     throw Error("FaultEngine::inject: set_inputs was never called");
   }
@@ -67,9 +83,10 @@ std::uint64_t FaultEngine::inject(const Fault& fault) {
     throw Error("FaultEngine::inject: fault gate out of range");
   }
   last_evaluations_ = 0;
-  if (fault.lane_mask == 0) return 0;
-
+  // A fresh epoch even for a strike that changes nothing, so that
+  // inject_until reads golden values rather than the previous overlay.
   next_epoch();
+  if (fault.lane_mask == 0 || !topo_.is_live(fault.gate)) return 0;
   pending_ = 0;
 
   // Seed: the victim's value flips under the mask; its diff IS the mask.
@@ -77,12 +94,13 @@ std::uint64_t FaultEngine::inject(const Fault& fault) {
   stamp_[fault.gate] = epoch_;
   std::uint64_t corruption =
       topo_.is_output_bit(fault.gate) ? fault.lane_mask : 0;
-  enqueue_fanouts(fault.gate);
+  enqueue_fanouts(fault.gate, last_level);
 
   // Level-ordered frontier: fanouts always sit at a strictly higher level
   // than their driver, so a single ascending sweep evaluates every touched
   // gate exactly once, after all its disturbed fanins. The sweep stops as
-  // soon as no queued gate remains -- the moment every diff went to zero.
+  // soon as no queued gate remains -- the moment every diff went to zero,
+  // or the frontier passed `last_level`, above which nothing is enqueued.
   for (std::uint32_t lvl = topo_.level(fault.gate) + 1; pending_ > 0; ++lvl) {
     std::vector<GateId>& bucket = buckets_[lvl];
     for (std::size_t i = 0; i < bucket.size(); ++i) {
@@ -95,7 +113,7 @@ std::uint64_t FaultEngine::inject(const Fault& fault) {
       faulty_[id] = v;
       stamp_[id] = epoch_;
       if (topo_.is_output_bit(id)) corruption |= diff;
-      enqueue_fanouts(id);
+      enqueue_fanouts(id, last_level);
     }
     bucket.clear();
   }

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/error.hpp"
-
 namespace rchls::netlist {
 
 Topology::Topology(const Netlist& nl) {
@@ -50,37 +48,17 @@ Topology::Topology(const Netlist& nl) {
     }
   }
 
-}
-
-const std::vector<GateId>& Topology::cone(GateId root) const {
-  if (root >= level_.size()) throw Error("Topology::cone: gate out of range");
-  std::lock_guard<std::mutex> lock(cone_mutex_);
-  if (cones_.empty()) {
-    // Campaigns never call cone() (the engine tracks the disturbed frontier
-    // dynamically), so the memo state is only allocated on first use.
-    cones_.resize(level_.size());
-    cone_ready_.assign(level_.size(), 0);
-    cone_visited_.assign(level_.size(), 0);
-  }
-  if (!cone_ready_[root]) {
-    ++cone_epoch_;
-    std::vector<GateId>& out = cones_[root];
-    out.push_back(root);
-    cone_visited_[root] = cone_epoch_;
-    // Breadth-first over the fanout CSR; the worklist grows while we scan.
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      GateId g = out[i];
-      for (const GateId* f = fanout_begin(g); f != fanout_end(g); ++f) {
-        if (cone_visited_[*f] != cone_epoch_) {
-          cone_visited_[*f] = cone_epoch_;
-          out.push_back(*f);
-        }
+  // Pass 3: liveness. A fanout has a larger id than the gate it reads, so
+  // one descending sweep settles every fanout's flag before the gate's.
+  is_live_ = is_output_;
+  for (GateId id = static_cast<GateId>(n); id-- > 0;) {
+    for (const GateId* f = fanout_begin(id); f != fanout_end(id); ++f) {
+      if (is_live_[*f]) {
+        is_live_[id] = 1;
+        break;
       }
     }
-    std::sort(out.begin(), out.end());
-    cone_ready_[root] = 1;
   }
-  return cones_[root];
 }
 
 }  // namespace rchls::netlist

@@ -1,25 +1,22 @@
 // Structural analysis of a Netlist: CSR fanout adjacency, topological
-// levels, and memoized transitive-fanout cones.
+// levels, and liveness (which gates can reach a primary output).
 //
-// A Topology is computed once per netlist (one linear pass) and then shared
-// read-only by every consumer -- most importantly the incremental
-// FaultEngine, which uses the fanout lists and levels to resimulate only a
-// struck gate's cone instead of the whole circuit. Cones themselves are
-// extracted lazily and memoized, so analyses that only ever strike a few
-// gates never pay for the rest.
+// A Topology is computed once per netlist (three linear passes) and then
+// shared read-only by every consumer -- most importantly the incremental
+// FaultEngine, which uses the fanout lists and levels to resimulate only
+// the disturbed part of a struck gate's fanout, and the liveness flags to
+// never evaluate logic whose value no output can observe.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 #include "netlist/netlist.hpp"
 
 namespace rchls::netlist {
 
-/// Immutable structural view of a Netlist. All queries are O(1) except
-/// cone(), which is O(cone size) on first use and O(1) after (memoized).
-/// Safe for concurrent use from multiple threads.
+/// Immutable structural view of a Netlist. All queries are O(1). Safe for
+/// concurrent use from multiple threads.
 class Topology {
  public:
   explicit Topology(const Netlist& nl);
@@ -52,31 +49,22 @@ class Topology {
   /// True if the gate drives at least one primary-output bit.
   bool is_output_bit(GateId id) const { return is_output_[id] != 0; }
 
+  /// True if some primary-output bit is reachable from the gate (the gate
+  /// itself included). A flip on a gate that is not live can never be
+  /// observed, whatever the inputs.
+  bool is_live(GateId id) const { return is_live_[id] != 0; }
+
   /// Ids of all gates with fanins (the strike targets), ascending.
   const std::vector<GateId>& logic_gates() const { return logic_gates_; }
-
-  // -- cones ---------------------------------------------------------------
-
-  /// Transitive-fanout cone of `root` (root included), ascending gate id --
-  /// which is also topological order. Memoized per gate; thread-safe.
-  const std::vector<GateId>& cone(GateId root) const;
 
  private:
   std::vector<std::size_t> fanout_offsets_;  ///< size gate_count + 1
   std::vector<GateId> fanout_targets_;
   std::vector<std::uint32_t> level_;
   std::vector<std::uint8_t> is_output_;
+  std::vector<std::uint8_t> is_live_;
   std::vector<GateId> logic_gates_;
   std::uint32_t max_level_ = 0;
-
-  // Cone memo, allocated on first cone() call and then filled per gate.
-  // cones_ is sized once, so returned references stay valid across later
-  // cone() calls.
-  mutable std::mutex cone_mutex_;
-  mutable std::vector<std::vector<GateId>> cones_;
-  mutable std::vector<std::uint8_t> cone_ready_;
-  mutable std::vector<std::uint32_t> cone_visited_;
-  mutable std::uint32_t cone_epoch_ = 0;
 };
 
 }  // namespace rchls::netlist

@@ -1,6 +1,7 @@
 #include "ser/fault_injection.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "netlist/fault_engine.hpp"
 #include "netlist/sim.hpp"
@@ -51,6 +52,42 @@ InjectionResult finalize(std::size_t trials, std::size_t propagated,
                           config.latching_window_derating;
   result.half_width_95 = wilson_half_width_95(propagated, trials);
   return result;
+}
+
+/// Immediate post-dominator of every live logic gate that drives no output
+/// bit, over the live fanout graph closed by a virtual sink behind all
+/// output bits; the sink is id gate_count(). Entries for other gates read
+/// the sink and are never used.
+///
+/// Cooper-Harvey-Kennedy intersection: gate ids are a topological order,
+/// and a gate's post-dominator is downstream of it, so one descending pass
+/// sees every fanout's final entry before the gate itself, and walking up
+/// from the smaller of two ids meets at their nearest common post-dominator.
+std::vector<GateId> post_dominators(const Topology& topo) {
+  constexpr GateId kNoGate = std::numeric_limits<GateId>::max();
+  const auto sink = static_cast<GateId>(topo.gate_count());
+  std::vector<GateId> ipdom(topo.gate_count(), sink);
+  const auto& gates = topo.logic_gates();
+  for (auto it = gates.rbegin(); it != gates.rend(); ++it) {
+    const GateId g = *it;
+    if (!topo.is_live(g) || topo.is_output_bit(g)) continue;
+    GateId dom = kNoGate;
+    for (const GateId* f = topo.fanout_begin(g); f != topo.fanout_end(g);
+         ++f) {
+      if (!topo.is_live(*f)) continue;
+      GateId other = *f;
+      while (dom != kNoGate && dom != other) {
+        if (dom < other) {
+          dom = ipdom[dom];
+        } else {
+          other = ipdom[other];
+        }
+      }
+      dom = other;
+    }
+    ipdom[g] = dom;
+  }
+  return ipdom;
 }
 
 /// Runs the campaign in lane-aligned chunks, striking `pick_gate(pass)` in
@@ -131,6 +168,8 @@ std::vector<GateSensitivity> inject_all_gates(const Netlist& nl,
   const Topology topo(nl);
   const auto& gates = topo.logic_gates();
   if (gates.empty()) throw Error("inject_all_gates: netlist has no logic");
+  const std::vector<GateId> ipdom = post_dominators(topo);
+  const auto sink = static_cast<GateId>(nl.gate_count());
 
   auto chunks = parallel::partition_trials(config.trials, config.seed);
   // Per-chunk, per-gate propagation counts; merged in chunk order below.
@@ -141,16 +180,33 @@ std::vector<GateSensitivity> inject_all_gates(const Netlist& nl,
     FaultEngine engine(nl, topo);
     Rng rng(chunk.seed);
     std::vector<std::uint64_t> inputs(nl.input_bits().size());
+    // obs[g]: the lanes of this pass in which a flip of g alone corrupts
+    // some output -- exactly what engine.inject(Fault{g, ~0}) returns.
+    std::vector<std::uint64_t> obs(nl.gate_count(), 0);
     std::vector<std::size_t>& counts = chunk_counts[ci];
     std::size_t passes = chunk.trials / parallel::kLanes;
     for (std::size_t pass = 0; pass < passes; ++pass) {
       for (auto& w : inputs) w = rng.next_u64();
       engine.set_inputs(inputs);  // one golden eval shared by ALL victims
-      for (std::size_t gi = 0; gi < gates.size(); ++gi) {
-        std::uint64_t corrupted =
-            engine.inject(netlist::Fault{gates[gi], ~0ULL});
-        counts[gi] +=
-            static_cast<std::size_t>(__builtin_popcountll(corrupted));
+      // Descending ids: a gate's post-dominator is downstream of it, so its
+      // word is ready when the gate is reached.
+      for (std::size_t gi = gates.size(); gi-- > 0;) {
+        const GateId g = gates[gi];
+        const GateId d = ipdom[g];
+        std::uint64_t word = 0;
+        if (topo.is_output_bit(g)) {
+          word = ~0ULL;
+        } else if (!topo.is_live(g)) {
+          word = 0;
+        } else if (d == sink) {
+          word = engine.inject(netlist::Fault{g, ~0ULL});
+        } else if (obs[d] != 0) {
+          // Every path from g to an output passes d, so a flip of g is seen
+          // exactly in the lanes where it flips d and d's flip is seen.
+          word = engine.inject_until(netlist::Fault{g, ~0ULL}, d) & obs[d];
+        }
+        obs[g] = word;
+        counts[gi] += static_cast<std::size_t>(__builtin_popcountll(word));
       }
     }
   });

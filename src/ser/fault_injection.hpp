@@ -11,10 +11,13 @@
 //
 // Campaigns run on the cone-limited incremental FaultEngine
 // (netlist/fault_engine.hpp): one golden evaluation per 64-lane input
-// batch, then per-strike resimulation of only the victim's fanout cone.
-// Results are bit-identical to the brute-force double-full-simulation
-// oracle (inject_campaign_reference), which is kept for differential
-// testing and benchmarking.
+// batch, then per-strike resimulation of only the live part of the
+// victim's fanout cone. inject_all_gates goes further with critical path
+// tracing: each gate's strike is resimulated only up to its immediate
+// post-dominator, whose observability is already known. Results are
+// bit-identical to the brute-force double-full-simulation oracle
+// (inject_campaign_reference), which is kept for differential testing and
+// benchmarking.
 #pragma once
 
 #include <cstdint>
@@ -75,12 +78,19 @@ struct GateSensitivity {
 };
 
 /// Characterizes EVERY logic gate at once: each 64-lane pass draws one
-/// input batch, evaluates the golden values a single time, and injects
+/// input batch, evaluates the golden values a single time, and traces
 /// every gate against that shared golden -- collapsing the per-node
 /// characterization loop from gate_count full campaigns into one sweep.
+/// Gates are visited in descending id. A gate that reaches no output
+/// costs nothing; any other gate is resimulated only up to its immediate
+/// post-dominator d (over the live fanouts), and its corrupted lanes are
+/// the lanes where it flips d that d's own flip corrupts. Only a gate
+/// whose paths reach several outputs without a common gate gets a
+/// full-cone injection.
 /// Each gate sees `config.trials` strikes (the same input batches for
-/// all gates). Results are in ascending gate-id order and bit-identical
-/// at every worker count.
+/// all gates), and its count equals inject_gate's for the same config.
+/// Results are in ascending gate-id order and bit-identical at every
+/// worker count.
 std::vector<GateSensitivity> inject_all_gates(const netlist::Netlist& nl,
                                               const InjectionConfig& config);
 

@@ -134,13 +134,66 @@ TEST(FaultEngine, MaskedFaultExitsEarly) {
   nl.add_output_bus("out", {t2});
 
   Topology topo(nl);
-  EXPECT_EQ(topo.cone(buf).size(), 4u);  // buf, and, not, xor all reachable
+  // buf, and, not and xor all reach the output, so only the masking can
+  // stop the frontier.
+  for (GateId g : {buf, gated, t1, t2}) EXPECT_TRUE(topo.is_live(g));
 
   FaultEngine engine(nl, topo);
   std::vector<std::uint64_t> inputs = {0x0123456789abcdefULL};
   engine.set_inputs(inputs);
   EXPECT_EQ(engine.inject(Fault{buf, ~0ULL}), 0u);
   EXPECT_EQ(engine.last_evaluations(), 1u);  // only the AND was re-evaluated
+}
+
+TEST(FaultEngine, InjectUntilMatchesBruteForceDiffAtStop) {
+  // For every victim and every live stop gate, the stop's diff word after
+  // a resimulation cut at its level equals full faulty resimulation's.
+  Rng rng(77);
+  for (int trial = 0; trial < 25; ++trial) {
+    int inputs = 2 + static_cast<int>(rng.next_below(6));
+    int logic = 5 + static_cast<int>(rng.next_below(60));
+    Netlist nl = random_netlist(rng, inputs, logic);
+    Topology topo(nl);
+    FaultEngine engine(nl, topo);
+    Simulator sim(nl);
+    std::vector<std::uint64_t> words(nl.input_bits().size());
+    for (auto& w : words) w = rng.next_u64();
+    const std::vector<std::uint64_t> golden = sim.run(words);
+    engine.set_inputs(words);
+    for (GateId victim = 0; victim < nl.gate_count(); ++victim) {
+      Fault fault{victim, rng.next_bool(0.5) ? ~0ULL : rng.next_u64()};
+      const std::vector<std::uint64_t> faulty = sim.run(words, fault);
+      for (GateId stop = 0; stop < nl.gate_count(); ++stop) {
+        if (!topo.is_live(stop)) {
+          EXPECT_THROW(engine.inject_until(fault, stop), Error);
+          continue;
+        }
+        ASSERT_EQ(engine.inject_until(fault, stop),
+                  faulty[stop] ^ golden[stop])
+            << "trial " << trial << " victim " << victim << " stop " << stop;
+      }
+    }
+  }
+}
+
+TEST(FaultEngine, NeverEvaluatesLogicThatReachesNoOutput) {
+  // out = buf(a); not(a) and and(not(a), a) feed nothing observable.
+  Netlist nl("dead");
+  auto a = nl.add_input_bus("a", 1).bits[0];
+  auto out = nl.add_unary(GateKind::kBuf, a);
+  auto dead = nl.bnot(a);
+  auto dead2 = nl.band(dead, a);
+  nl.add_output_bus("out", {out});
+
+  Topology topo(nl);
+  EXPECT_FALSE(topo.is_live(dead));
+  EXPECT_FALSE(topo.is_live(dead2));
+  FaultEngine engine(nl, topo);
+  engine.set_inputs({0x0123456789abcdefULL});
+  EXPECT_EQ(engine.inject(Fault{a, ~0ULL}), ~0ULL);
+  EXPECT_EQ(engine.last_evaluations(), 1u);  // the buffer only
+  EXPECT_EQ(engine.inject(Fault{dead, ~0ULL}), 0u);
+  EXPECT_EQ(engine.last_evaluations(), 0u);
 }
 
 TEST(FaultEngine, ZeroLaneMaskIsFree) {
