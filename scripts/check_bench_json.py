@@ -47,17 +47,6 @@ def check_pool_doc(path, doc):
     hw = require(path, doc, "hardware_concurrency", int)
     if hw < 1:
         fail(path, "hardware_concurrency must be >= 1")
-    require(path, doc, "block_size", int)
-
-    fifo = require(path, doc, "fifo", dict)
-    for mode in ("fill", "empty"):
-        check_rate_row(path, require(path, fifo, mode, dict), f"fifo.{mode}")
-    prodcon = require(path, fifo, "prodcon", list)
-    if not prodcon:
-        fail(path, "fifo.prodcon is empty")
-    for row in prodcon:
-        require(path, row, "threads_each_side", int)
-        check_rate_row(path, row, "fifo.prodcon")
 
     pool = require(path, doc, "pool", list)
     if not pool:
@@ -70,16 +59,11 @@ def check_pool_doc(path, doc):
         grains.add(require(path, row, "grain", str))
         check_rate_row(path, row, "pool row")
         stats = require(path, row, "pool_stats", dict)
-        for key in ("tasks_executed", "steals", "overflow_pushes",
-                    "overflow_pops", "block_handoffs", "idle_wakeups",
-                    "full_retries"):
+        for key in ("tasks_executed", "idle_wakeups", "steals"):
             require(path, stats, key, int)
-        # Every externally submitted task crosses the overflow FIFO;
-        # what went in must have come out.
-        if stats["overflow_pops"] != stats["overflow_pushes"]:
-            fail(path, "pool row: overflow_pops != overflow_pushes")
-        if stats["tasks_executed"] < row["tasks"]:
-            fail(path, "pool row: executed fewer tasks than submitted")
+        # Every index of the region ran exactly once.
+        if require(path, row, "done", int) != row["tasks"]:
+            fail(path, "pool row: done != tasks")
     if grains != {"empty", "spin", "cell"}:
         fail(path, f"pool grains are {sorted(grains)}, expected "
                    "['cell', 'empty', 'spin']")

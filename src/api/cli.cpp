@@ -24,6 +24,7 @@
 #include "benchmarks/suite.hpp"
 #include "circuits/components.hpp"
 #include "library/io.hpp"
+#include "parallel/config.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -767,11 +768,9 @@ int run_serve(const Args& a, std::ostream& err) {
       << " overflows=" << s.overflows << " hits=" << ss.hits
       << " disk_hits=" << ss.disk_hits << " executed=" << ss.executions
       << "\n";
-  err << "serve: pool tasks=" << ss.pool.tasks_executed
-      << " steals=" << ss.pool.steals
-      << " overflow=" << ss.pool.overflow_pushes
-      << " blocks=" << ss.pool.block_handoffs
-      << " wakeups=" << ss.pool.idle_wakeups << "\n";
+  parallel::PoolStats pool = parallel::pool_stats();
+  err << "serve: pool tasks=" << pool.tasks_executed
+      << " wakeups=" << pool.idle_wakeups << "\n";
   return 0;
 }
 

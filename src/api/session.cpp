@@ -226,7 +226,6 @@ SessionStats Session::stats() const {
   s.disk_hits = disk_stats().hits;
   s.executions = executions();
   s.entries = c.entries;
-  s.pool = parallel::pool_stats();
   return s;
 }
 

@@ -115,10 +115,6 @@ struct SessionStats {
   std::uint64_t disk_hits = 0;
   std::uint64_t executions = 0;  ///< requests that reached the executor
   std::uint64_t entries = 0;     ///< memory-layer population
-  /// Engine-pool counters (parallel::pool_stats(); process-global, so
-  /// they cover every execution this session triggered -- the serve
-  /// daemon prints them in its shutdown summary).
-  parallel::PoolStats pool;
 };
 
 class Session {

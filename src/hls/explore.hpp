@@ -3,8 +3,8 @@
 // comparing [3], ours, and the combined approach) and Figure 9 (grid
 // averages).
 //
-// Grid points are independent, so every sweep evaluates them as one task
-// per point on the parallel::ThreadPool (worker count from
+// Grid points are independent, so every sweep evaluates them as one
+// parallel_for index per point on the engine pool (worker count from
 // parallel::Config / the CLI's --jobs). Results are collected by index,
 // making sweep output bit-identical at any worker count.
 #pragma once

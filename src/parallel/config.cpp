@@ -22,37 +22,4 @@ void set_global_jobs(std::size_t jobs) { global_config().jobs = jobs; }
 
 std::size_t global_jobs() { return resolve_jobs(global_config().jobs); }
 
-namespace detail {
-
-PoolCounters& pool_counters() {
-  static PoolCounters counters;
-  return counters;
-}
-
-}  // namespace detail
-
-PoolStats pool_stats() {
-  const detail::PoolCounters& c = detail::pool_counters();
-  PoolStats s;
-  s.tasks_executed = c.tasks_executed.load(std::memory_order_relaxed);
-  s.steals = c.steals.load(std::memory_order_relaxed);
-  s.overflow_pushes = c.overflow_pushes.load(std::memory_order_relaxed);
-  s.overflow_pops = c.overflow_pops.load(std::memory_order_relaxed);
-  s.block_handoffs = c.block_handoffs.load(std::memory_order_relaxed);
-  s.idle_wakeups = c.idle_wakeups.load(std::memory_order_relaxed);
-  s.full_retries = c.full_retries.load(std::memory_order_relaxed);
-  return s;
-}
-
-void reset_pool_stats() {
-  detail::PoolCounters& c = detail::pool_counters();
-  c.tasks_executed.store(0, std::memory_order_relaxed);
-  c.steals.store(0, std::memory_order_relaxed);
-  c.overflow_pushes.store(0, std::memory_order_relaxed);
-  c.overflow_pops.store(0, std::memory_order_relaxed);
-  c.block_handoffs.store(0, std::memory_order_relaxed);
-  c.idle_wakeups.store(0, std::memory_order_relaxed);
-  c.full_retries.store(0, std::memory_order_relaxed);
-}
-
 }  // namespace rchls::parallel

@@ -10,14 +10,12 @@
 // every worker count (see partitioner.hpp), so `jobs` is purely a
 // wall-clock knob.
 //
-// PoolStats is the matching observability surface: cheap relaxed-atomic
-// counters every ThreadPool (task_pool.hpp) adds into, cumulative for the
-// process (they survive pool resizes, and multiple pools share them).
-// The serve daemon samples them per stats() call so queue behavior is
-// visible under real traffic; bench/perf_pool prints them per run.
+// PoolStats is the matching observability surface: relaxed-atomic
+// counters of the one engine pool behind parallel_for
+// (parallel_for.cpp), cumulative for the process. The serve daemon
+// prints them on shutdown; perfbench and bench/perf_pool take deltas.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 
@@ -44,44 +42,19 @@ std::size_t global_jobs();
 
 // ------------------------------------------------------ pool counters
 
-/// Snapshot of the process-wide thread-pool counters. All counts are
-/// cumulative since process start (or the last reset_pool_stats()) and
-/// monotonic; each is sampled individually, so a snapshot taken under
-/// load is consistent per counter, not across counters.
+/// Snapshot of the engine pool's counters. Both are cumulative since
+/// process start and monotonic; each is sampled on its own, so a
+/// snapshot taken under load is consistent per counter, not across
+/// counters. Take deltas to measure a phase.
 struct PoolStats {
-  std::uint64_t tasks_executed = 0;   ///< tasks run by any pool worker
-  std::uint64_t steals = 0;           ///< tasks taken from another worker
-  std::uint64_t overflow_pushes = 0;  ///< tasks pushed to the shared FIFO
-  std::uint64_t overflow_pops = 0;    ///< tasks drained from the FIFO
-  std::uint64_t block_handoffs = 0;   ///< whole-block claims off the FIFO
-  std::uint64_t idle_wakeups = 0;     ///< worker wakeups from the idle wait
-  std::uint64_t full_retries = 0;     ///< push attempts bounced off a full ring
+  std::uint64_t tasks_executed = 0;  ///< indices of regions that used the pool
+  std::uint64_t idle_wakeups = 0;    ///< worker wakeups from the idle wait
+  /// Always 0: the pool has one shared queue, so nothing is stolen.
+  /// Kept only because perfbench reports it as `parallel.steals`.
+  std::uint64_t steals = 0;
 };
 
 /// Samples the counters (relaxed loads; safe from any thread).
 PoolStats pool_stats();
-
-/// Zeroes the counters. For tests and benchmark harnesses that want a
-/// per-phase delta; not synchronized against concurrent pool traffic.
-void reset_pool_stats();
-
-namespace detail {
-
-/// The shared counter block the pools increment (relaxed, hot-path
-/// cheap). Lives here rather than per-pool so samples survive the
-/// shared pool being torn down and respawned at a new worker count.
-struct PoolCounters {
-  std::atomic<std::uint64_t> tasks_executed{0};
-  std::atomic<std::uint64_t> steals{0};
-  std::atomic<std::uint64_t> overflow_pushes{0};
-  std::atomic<std::uint64_t> overflow_pops{0};
-  std::atomic<std::uint64_t> block_handoffs{0};
-  std::atomic<std::uint64_t> idle_wakeups{0};
-  std::atomic<std::uint64_t> full_retries{0};
-};
-
-PoolCounters& pool_counters();
-
-}  // namespace detail
 
 }  // namespace rchls::parallel

@@ -16,8 +16,8 @@
 // The engines behind the session (hls::find_design / nmr_baseline /
 // combined_design, hls::latency_sweep / area_sweep / comparison_grid,
 // ser::inject_campaign / inject_gate / rank_gate_sensitivities) fan out
-// over the work-stealing parallel::ThreadPool; the worker count is the
-// processwide parallel::Config (the CLI's --jobs flag). Because every
+// through parallel::parallel_for over the one engine pool; the worker
+// count is the processwide parallel::Config (the CLI's --jobs flag). Because every
 // engine partitions and merges deterministically, a RunReport (and its
 // JSON/CSV rendering, see report.hpp) is bit-identical at every worker
 // count, and cached results are byte-identical to cold recomputations.

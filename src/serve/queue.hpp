@@ -5,9 +5,10 @@
 // The shape follows the connection-to-worker handoff the ROADMAP cites
 // from block-based-queue designs, simplified to what backpressure
 // actually requires: a mutex/condvar ring with a hard capacity.
-// Deliberately NOT the lock-free pool queue (parallel/task_pool) -- the
-// payload here is a whole engine request (milliseconds to minutes), so
-// queue overhead is noise, while the bounded-capacity contract is the
+// Unlike the engine pool's queue (parallel/parallel_for.cpp), which
+// grows with the runners it is given, this one is bounded: the payload
+// here is a whole engine request (milliseconds to minutes), so queue
+// overhead is noise, while the bounded-capacity contract is the
 // feature: try_push never blocks and never allocates past the cap, so a
 // flooded server refuses work in O(1) instead of buffering unboundedly
 // and dying later (the refusal becomes an `error` envelope upstream).

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include "api/wire.hpp"
-#include "parallel/config.hpp"
 #include "serve/protocol.hpp"
 #include "util/error.hpp"
 
@@ -242,14 +241,10 @@ void Server::worker_loop() {
       api::RunSource source{};
       api::Result res = session_.run(req, &source);
       reply = api::wire::encode(res);
-      parallel::PoolStats pool = parallel::pool_stats();
       line = std::string("serve: ") + api::wire::kind_of(req) +
              " source=" + source_name(source) + " executed=" +
              (source == api::RunSource::kExecuted ? "1" : "0") +
-             " queue=" + std::to_string(queue_.size()) +
-             " steals=" + std::to_string(pool.steals) +
-             " overflow=" + std::to_string(pool.overflow_pushes) +
-             " blocks=" + std::to_string(pool.block_handoffs);
+             " queue=" + std::to_string(queue_.size());
     } catch (const Error& e) {
       // Decode and structural engine errors are replies, not daemon
       // failures; infeasible bounds never land here (they are results).

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <random>
 #include <set>
 #include <thread>
@@ -15,7 +15,6 @@
 #include "parallel/config.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/partitioner.hpp"
-#include "parallel/task_pool.hpp"
 #include "ser/fault_injection.hpp"
 #include "util/error.hpp"
 
@@ -118,99 +117,86 @@ TEST(ParallelFor, NestedRegionsRunInline) {
   EXPECT_EQ(total.load(), 64);
 }
 
-TEST(ThreadPool, SaturatedPoolWithUnevenTasksFinishesEverything) {
-  // Stress: many more tasks than workers, with wildly uneven sizes, some
-  // submitted from inside other tasks (exercises the local deques, the
-  // block-based overflow queue and stealing all at once).
-  ThreadPool pool(8);
-  std::atomic<std::size_t> done{0};
-  std::atomic<std::size_t> sink{0};
-  for (std::size_t i = 0; i < 500; ++i) {
-    pool.submit([&, i] {
-      std::size_t spin = (i % 13 == 0) ? 200000 : (i % 7) * 1000;
-      std::size_t acc = 0;
-      for (std::size_t k = 0; k < spin; ++k) acc += k;
-      sink.store(acc, std::memory_order_relaxed);
-      if (i % 50 == 0) {
-        for (int child = 0; child < 20; ++child) {
-          pool.submit([&] { ++done; });
-        }
-      }
-      ++done;
-    });
+TEST(ParallelFor, RegionNeverRunsMoreThanJobsAtOnce) {
+  // A region runs jobs - 1 runners plus its caller, however many workers
+  // the pool holds: the first region grows the pool past the later ones.
+  for (std::size_t jobs : {8, 2, 3}) {
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    parallel_for(
+        64,
+        [&](std::size_t) {
+          int now = ++running;
+          int seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          --running;
+        },
+        jobs);
+    EXPECT_GE(peak.load(), 1);
+    EXPECT_LE(peak.load(), static_cast<int>(jobs)) << "jobs " << jobs;
   }
-  pool.wait_idle();
+}
+
+TEST(ThreadPool, SaturatedPoolWithUnevenTasksFinishesEverything) {
+  // Stress: many more indices than workers, with wildly uneven grains,
+  // some of which open nested regions (those run inline).
+  std::atomic<std::size_t> done{0};
+  parallel_for(
+      500,
+      [&](std::size_t i) {
+        std::this_thread::sleep_for(
+            std::chrono::microseconds(i % 13 == 0 ? 500 : (i % 7) * 10));
+        if (i % 50 == 0) {
+          parallel_for(
+              20, [&](std::size_t) { ++done; }, 8);
+        }
+        ++done;
+      },
+      8);
   EXPECT_EQ(done.load(), 500u + 10u * 20u);
 }
 
-TEST(ThreadPool, OverflowFifoHandsOutWholeBlocks) {
-  RelaxedFifo q(4);
-  for (int i = 0; i < 40; ++i) {
-    Task t = [] {};
-    ASSERT_TRUE(q.try_push(t));
-  }
-  std::deque<Task> out;
-  // One block at a time, kBlockSize tasks per full block.
-  EXPECT_EQ(q.pop_block(out), RelaxedFifo::kBlockSize);
-  EXPECT_EQ(out.size(), RelaxedFifo::kBlockSize);
-  while (q.pop_block(out) != 0) {
-  }
-  EXPECT_EQ(out.size(), 40u);
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(ThreadPool, CountersObserveOverflowTrafficAndExecution) {
-  reset_pool_stats();
-  {
-    ThreadPool pool(4);
-    std::atomic<std::size_t> done{0};
-    for (std::size_t i = 0; i < 200; ++i) {
-      pool.submit([&] { ++done; });
-    }
-    pool.wait_idle();
-    EXPECT_EQ(done.load(), 200u);
-  }
-  PoolStats s = pool_stats();
-  EXPECT_EQ(s.tasks_executed, 200u);
-  // Every externally submitted task crosses the overflow FIFO exactly
-  // once, in whole-block handoffs.
-  EXPECT_EQ(s.overflow_pushes, 200u);
-  EXPECT_EQ(s.overflow_pops, 200u);
-  EXPECT_GE(s.block_handoffs, 200u / RelaxedFifo::kBlockSize);
-  EXPECT_LE(s.block_handoffs, 200u);
+TEST(ThreadPool, CountersCountPooledIndicesAndNeverSteal) {
+  PoolStats before = pool_stats();
+  parallel_for(
+      200, [](std::size_t) {}, 4);
+  PoolStats pooled = pool_stats();
+  EXPECT_EQ(pooled.tasks_executed - before.tasks_executed, 200u);
+  // A one-job region runs inline and never reaches the pool.
+  parallel_for(
+      200, [](std::size_t) {}, 1);
+  PoolStats after = pool_stats();
+  EXPECT_EQ(after.tasks_executed, pooled.tasks_executed);
+  EXPECT_GE(after.idle_wakeups, before.idle_wakeups);
+  EXPECT_EQ(after.steals, 0u);
 }
 
 TEST(ThreadPool, RandomizedSubmissionBurstsLoseNothing) {
-  // Randomized stress for the relaxed overflow path: bursts of external
-  // submissions (sized to wrap the ring several times) interleaved with
-  // worker-side child tasks; every task must run exactly once.
-  std::mt19937_64 rng(7);
-  for (int round = 0; round < 3; ++round) {
-    ThreadPool pool(1 + static_cast<std::size_t>(rng() % 8));
-    std::vector<std::atomic<int>> hits(2000);
-    for (auto& h : hits) h = 0;
-    std::size_t submitted = 0;
-    while (submitted < hits.size()) {
-      std::size_t burst =
-          std::min<std::size_t>(1 + rng() % 97, hits.size() - submitted);
-      for (std::size_t k = 0; k < burst; ++k) {
-        std::size_t i = submitted + k;
-        if (i % 31 == 0 && i + 1 < hits.size()) continue;  // child submits it
-        pool.submit([&, i] {
-          ++hits[i];
-          if (i % 31 == 1 && i >= 1) {
-            pool.submit([&, j = i - 1] { ++hits[j]; });
-          }
-        });
+  // Three threads launch regions of random size and width at once, so
+  // regions of different widths overlap on the one pool; every index of
+  // every region must run exactly once.
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (unsigned t = 0; t < 3; ++t) {
+    callers.emplace_back([&wrong, t] {
+      std::mt19937_64 rng(7 + t);
+      for (int round = 0; round < 300; ++round) {
+        std::size_t n = 1 + static_cast<std::size_t>(rng() % 64);
+        std::size_t jobs = 1 + static_cast<std::size_t>(rng() % 8);
+        std::vector<std::atomic<int>> hits(n);
+        for (auto& h : hits) h = 0;
+        parallel_for(
+            n, [&](std::size_t i) { ++hits[i]; }, jobs);
+        for (auto& h : hits) {
+          if (h.load() != 1) ++wrong;
+        }
       }
-      submitted += burst;
-      if (rng() % 3 == 0) std::this_thread::yield();
-    }
-    pool.wait_idle();
-    for (std::size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "index " << i << " round " << round;
-    }
+    });
   }
+  for (auto& c : callers) c.join();
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // ------------------------------------------------- determinism end-to-end
