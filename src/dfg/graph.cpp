@@ -35,6 +35,7 @@ NodeId Graph::add_node(const std::string& name, OpType op) {
   nodes_.push_back(Node{name, op});
   preds_.emplace_back();
   succs_.emplace_back();
+  order_.drop();
   return static_cast<NodeId>(nodes_.size() - 1);
 }
 
@@ -51,6 +52,7 @@ void Graph::add_edge(NodeId from, NodeId to) {
   out.push_back(to);
   preds_[to].push_back(from);
   ++edge_count_;
+  order_.drop();
 }
 
 const Node& Graph::node(NodeId id) const {
@@ -106,7 +108,22 @@ std::size_t Graph::count_ops(OpType op) const {
   return n;
 }
 
-std::vector<NodeId> Graph::topological_order() const {
+const std::vector<NodeId>& Graph::topological_order() const {
+  if (!order_.ready.load(std::memory_order_acquire)) {
+    std::lock_guard lock(order_.mu);
+    if (!order_.ready.load(std::memory_order_relaxed)) {
+      order_.order = kahn_order();
+      order_.cyclic = order_.order.size() != nodes_.size();
+      order_.ready.store(true, std::memory_order_release);
+    }
+  }
+  if (order_.cyclic) {
+    throw ValidationError(name_ + ": graph contains a cycle");
+  }
+  return order_.order;
+}
+
+std::vector<NodeId> Graph::kahn_order() const {
   std::vector<std::size_t> indegree(nodes_.size());
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     indegree[id] = preds_[id].size();
@@ -127,9 +144,6 @@ std::vector<NodeId> Graph::topological_order() const {
     for (NodeId s : succs_[id]) {
       if (--indegree[s] == 0) ready.push(s);
     }
-  }
-  if (order.size() != nodes_.size()) {
-    throw ValidationError(name_ + ": graph contains a cycle");
   }
   return order;
 }

@@ -51,7 +51,7 @@ std::vector<int> alap(const Graph& g, std::span<const int> delays,
                           " below minimum " + std::to_string(min_latency));
   }
   std::vector<int> start(g.node_count(), 0);
-  auto order = g.topological_order();
+  const auto& order = g.topological_order();
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     NodeId id = *it;
     int s = latency - delays[id];

@@ -2,6 +2,11 @@
 // reliability-centric find_design first, then spend any remaining area on
 // modular redundancy, duplicating instances with the same versions the
 // reliability-centric pass selected.
+//
+// The budget loop's find_design runs share one AssembleMemo: the walk at a
+// smaller budget repeats the steps of the walk at a larger one, so those
+// steps are lookups. A grid passes its request's memo, which its "ours"
+// column fills first.
 #pragma once
 
 #include "dfg/graph.hpp"
@@ -29,10 +34,17 @@ struct CombinedOptions {
 /// the most reliable final design wins. A single greedy pass at the full
 /// bound (the literal reading of the paper) tends to spend the whole
 /// budget on versions and leave nothing for duplication.
-/// Throws NoSolutionError when find_design fails at every budget.
+/// Throws NoSolutionError when find_design fails at every budget, and
+/// Error on a latency bound below 1, a non-positive area bound or any
+/// argument find_design rejects.
 Design combined_design(const dfg::Graph& g,
                        const library::ResourceLibrary& lib,
                        int latency_bound, double area_bound,
                        const CombinedOptions& options = {});
+
+/// The same on memo.graph() and memo.library(), with every find_design run
+/// taking its assemblies from `memo`.
+Design combined_design(AssembleMemo& memo, int latency_bound,
+                       double area_bound, const CombinedOptions& options = {});
 
 }  // namespace rchls::hls

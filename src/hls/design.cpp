@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string_view>
 
 #include "bind/left_edge.hpp"
 #include "reliability/algebra.hpp"
@@ -9,6 +11,7 @@
 #include "sched/force_directed.hpp"
 #include "sched/list.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 
 namespace rchls::hls {
 
@@ -93,6 +96,48 @@ Design assemble(const dfg::Graph& g, const library::ResourceLibrary& lib,
   d.copies.assign(d.binding.instances.size(), 1);
   evaluate(d, g, lib);
   return d;
+}
+
+AssembleMemo::AssembleMemo(const dfg::Graph& g,
+                           const library::ResourceLibrary& lib)
+    : g_(g), lib_(lib) {}
+
+std::shared_ptr<const Design> AssembleMemo::assemble(
+    std::span<const library::VersionId> version_of, int latency,
+    SchedulerKind scheduler) {
+  Key key{{version_of.begin(), version_of.end()}, latency, scheduler};
+  std::shared_future<std::shared_ptr<const Design>> design;
+  std::optional<std::promise<std::shared_ptr<const Design>>> first;
+  {
+    std::lock_guard lock(mu_);
+    auto [it, inserted] = designs_.try_emplace(std::move(key));
+    if (inserted) {
+      first.emplace();
+      it->second = first->get_future().share();
+    }
+    design = it->second;
+  }
+  if (first) {
+    try {
+      first->set_value(std::make_shared<const Design>(hls::assemble(
+          g_, lib_, {version_of.begin(), version_of.end()}, latency,
+          scheduler)));
+    } catch (...) {
+      first->set_exception(std::current_exception());
+    }
+  }
+  return design.get();
+}
+
+std::size_t AssembleMemo::KeyHash::operator()(const Key& k) const {
+  // FNV-1a over the assignment's bytes, continued over the other fields.
+  constexpr std::uint64_t kPrime = 1099511628211ULL;
+  std::uint64_t h = fnv1a64(std::string_view(
+      reinterpret_cast<const char*>(k.version_of.data()),
+      k.version_of.size() * sizeof(library::VersionId)));
+  h = (h ^ static_cast<std::uint64_t>(k.latency)) * kPrime;
+  h = (h ^ static_cast<std::uint64_t>(k.scheduler)) * kPrime;
+  return static_cast<std::size_t>(h);
 }
 
 void evaluate(Design& d, const dfg::Graph& g,

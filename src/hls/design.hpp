@@ -1,9 +1,21 @@
 // The result type of every synthesis engine: a fully bound data path with
 // per-operation version assignment, schedule, binding, optional modular
 // redundancy, and its evaluated latency / area / reliability.
+//
+// assemble() turns a version assignment into a Design. The engines'
+// greedy walks assemble the same (assignment, latency) many times over: a
+// grid's cells, a sweep's points, the combined approach's area budgets and
+// find_design's explore bounds re-walk each other's steps. AssembleMemo
+// holds one request's assemble() results so that each distinct key is
+// scheduled and bound once; the engines take their assemblies from it.
 #pragma once
 
+#include <cstddef>
+#include <future>
+#include <memory>
+#include <mutex>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "bind/binding.hpp"
@@ -48,6 +60,47 @@ std::vector<int> class_groups(const dfg::Graph& g);
 Design assemble(const dfg::Graph& g, const library::ResourceLibrary& lib,
                 std::vector<library::VersionId> version_of, int latency,
                 SchedulerKind scheduler = SchedulerKind::kDensity);
+
+/// The assemble() results of one engine request over one (graph, library),
+/// keyed by (version assignment, target latency, scheduler). assemble() is
+/// a pure function of these, so a memoized Design is the one a fresh call
+/// would build, field for field, and an assignment that throws rethrows
+/// the same error. Thread-safe: the first caller of a key assembles it
+/// while later callers of that key wait for its result, so pool workers
+/// sharing one memo assemble each key once. The graph and library must
+/// outlive the memo and stay unchanged while it lives; it grows with the
+/// request's distinct keys and frees them when it is destroyed.
+class AssembleMemo {
+ public:
+  AssembleMemo(const dfg::Graph& g, const library::ResourceLibrary& lib);
+
+  const dfg::Graph& graph() const { return g_; }
+  const library::ResourceLibrary& library() const { return lib_; }
+
+  /// assemble(graph(), library(), version_of, latency, scheduler), built
+  /// on the key's first call and shared by every later one.
+  std::shared_ptr<const Design> assemble(
+      std::span<const library::VersionId> version_of, int latency,
+      SchedulerKind scheduler);
+
+ private:
+  struct Key {
+    std::vector<library::VersionId> version_of;
+    int latency = 0;
+    SchedulerKind scheduler = SchedulerKind::kDensity;
+    bool operator==(const Key&) const = default;
+  };
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const;
+  };
+
+  const dfg::Graph& g_;
+  const library::ResourceLibrary& lib_;
+  std::mutex mu_;
+  std::unordered_map<Key, std::shared_future<std::shared_ptr<const Design>>,
+                     KeyHash>
+      designs_;  // guarded by mu_
+};
 
 /// Recomputes latency, area and reliability from the design's fields
 /// (call after changing `copies`).

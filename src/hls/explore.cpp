@@ -10,14 +10,13 @@ namespace rchls::hls {
 
 namespace {
 
-SweepPoint run_point(const dfg::Graph& g, const library::ResourceLibrary& lib,
-                     int latency_bound, double area_bound,
+SweepPoint run_point(AssembleMemo& memo, int latency_bound, double area_bound,
                      const FindDesignOptions& options) {
   SweepPoint p;
   p.latency_bound = latency_bound;
   p.area_bound = area_bound;
   try {
-    Design d = find_design(g, lib, latency_bound, area_bound, options);
+    Design d = find_design(memo, latency_bound, area_bound, options);
     p.reliability = d.reliability;
     p.area = d.area;
     p.latency = d.latency;
@@ -34,8 +33,9 @@ std::vector<SweepPoint> latency_sweep(const dfg::Graph& g,
                                       const std::vector<int>& latency_bounds,
                                       double area_bound,
                                       const FindDesignOptions& options) {
+  AssembleMemo memo(g, lib);
   return parallel::parallel_map(latency_bounds.size(), [&](std::size_t i) {
-    return run_point(g, lib, latency_bounds[i], area_bound, options);
+    return run_point(memo, latency_bounds[i], area_bound, options);
   });
 }
 
@@ -44,8 +44,9 @@ std::vector<SweepPoint> area_sweep(const dfg::Graph& g,
                                    int latency_bound,
                                    const std::vector<double>& area_bounds,
                                    const FindDesignOptions& options) {
+  AssembleMemo memo(g, lib);
   return parallel::parallel_map(area_bounds.size(), [&](std::size_t i) {
-    return run_point(g, lib, latency_bound, area_bounds[i], options);
+    return run_point(memo, latency_bound, area_bounds[i], options);
   });
 }
 
@@ -54,6 +55,7 @@ std::vector<ComparisonRow> comparison_grid(
     const std::vector<int>& latency_bounds,
     const std::vector<double>& area_bounds, const GridOptions& options) {
   std::size_t cells = latency_bounds.size() * area_bounds.size();
+  AssembleMemo memo(g, lib);
   return parallel::parallel_map(cells, [&](std::size_t cell) {
     int ld = latency_bounds[cell / area_bounds.size()];
     double ad = area_bounds[cell % area_bounds.size()];
@@ -66,13 +68,12 @@ std::vector<ComparisonRow> comparison_grid(
     } catch (const NoSolutionError&) {
     }
     try {
-      row.ours = find_design(g, lib, ld, ad, options.find_design)
-                     .reliability;
+      row.ours = find_design(memo, ld, ad, options.find_design).reliability;
     } catch (const NoSolutionError&) {
     }
     try {
-      row.combined = combined_design(g, lib, ld, ad, options.combined)
-                         .reliability;
+      row.combined =
+          combined_design(memo, ld, ad, options.combined).reliability;
     } catch (const NoSolutionError&) {
     }
     if (row.baseline && row.ours) {

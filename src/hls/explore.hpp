@@ -7,6 +7,12 @@
 // parallel_for index per point on the engine pool (worker count from
 // parallel::Config / the CLI's --jobs). Results are collected by index,
 // making sweep output bit-identical at any worker count.
+//
+// Each call makes one AssembleMemo and shares it with every find_design
+// run inside it: all the points of a sweep, and both the "ours" and the
+// "combined" column of every grid cell. The points' Fig. 6 walks repeat
+// many of each other's steps, which are then lookups, also across pool
+// workers. Results equal those of separate per-point calls.
 #pragma once
 
 #include <optional>

@@ -14,6 +14,7 @@ constexpr double kAreaEps = 1e-9;
 
 using library::ResourceLibrary;
 using library::VersionId;
+using DesignPtr = std::shared_ptr<const Design>;
 
 /// Phase 2 (Fig. 6 l. 7-12): shrink the minimum latency below the bound by
 /// moving critical-path nodes to faster versions. The paper selects "the
@@ -108,18 +109,19 @@ bool shrink_step(const dfg::Graph& g, const ResourceLibrary& lib,
 /// reliability among those), otherwise the smallest-area candidate that
 /// still improves on the current area (ties: higher reliability). Returns
 /// true if a move was applied.
-bool consolidate_step(const dfg::Graph& g, const ResourceLibrary& lib,
-                      std::vector<VersionId>& versions, int target_latency,
-                      double area_bound, SchedulerKind scheduler,
-                      Design& current) {
+bool consolidate_step(AssembleMemo& memo, std::vector<VersionId>& versions,
+                      int target_latency, double area_bound,
+                      SchedulerKind scheduler, DesignPtr& current) {
+  const dfg::Graph& g = memo.graph();
+  const ResourceLibrary& lib = memo.library();
   std::vector<bool> used(lib.size(), false);
   for (VersionId v : versions) used[v] = true;
 
-  std::optional<Design> best;
+  DesignPtr best;
   std::vector<VersionId> best_versions;
-  auto consider = [&](Design d, std::vector<VersionId> candidate) {
-    bool d_ok = d.area <= area_bound + kAreaEps;
-    if (!d_ok && d.area >= current.area - kAreaEps) return;
+  auto consider = [&](DesignPtr d, std::vector<VersionId> candidate) {
+    bool d_ok = d->area <= area_bound + kAreaEps;
+    if (!d_ok && d->area >= current->area - kAreaEps) return;
     bool better;
     if (!best) {
       better = true;
@@ -128,11 +130,11 @@ bool consolidate_step(const dfg::Graph& g, const ResourceLibrary& lib,
       if (d_ok != best_ok) {
         better = d_ok;
       } else if (d_ok) {
-        better = d.reliability > best->reliability;
+        better = d->reliability > best->reliability;
       } else {
-        better = d.area < best->area - kAreaEps ||
-                 (d.area < best->area + kAreaEps &&
-                  d.reliability > best->reliability);
+        better = d->area < best->area - kAreaEps ||
+                 (d->area < best->area + kAreaEps &&
+                  d->reliability > best->reliability);
       }
     }
     if (better) {
@@ -153,13 +155,13 @@ bool consolidate_step(const dfg::Graph& g, const ResourceLibrary& lib,
       }
       auto delays = delays_for(g, lib, candidate);
       if (dfg::asap_latency(g, delays) > target_latency) continue;
-      Design d = assemble(g, lib, candidate, target_latency, scheduler);
+      DesignPtr d = memo.assemble(candidate, target_latency, scheduler);
       consider(std::move(d), std::move(candidate));
     }
   }
   if (!best) return false;
   versions = std::move(best_versions);
-  current = std::move(*best);
+  current = std::move(best);
   return true;
 }
 
@@ -167,15 +169,16 @@ bool consolidate_step(const dfg::Graph& g, const ResourceLibrary& lib,
 /// both bounds keep holding. Candidates are assembled at the latency bound
 /// (maximum sharing) so an upgrade is never rejected for transient
 /// scheduling reasons.
-void polish(const dfg::Graph& g, const ResourceLibrary& lib,
-            std::vector<VersionId>& versions, int latency_bound,
-            double area_bound, SchedulerKind scheduler, Design& current,
-            int max_iterations) {
+void polish(AssembleMemo& memo, std::vector<VersionId>& versions,
+            int latency_bound, double area_bound, SchedulerKind scheduler,
+            DesignPtr& current, int max_iterations) {
+  const dfg::Graph& g = memo.graph();
+  const ResourceLibrary& lib = memo.library();
   int iterations = 0;
   bool improved = true;
   while (improved) {
     improved = false;
-    std::optional<Design> best;
+    DesignPtr best;
     std::vector<VersionId> best_versions;
     for (dfg::NodeId id = 0; id < g.node_count(); ++id) {
       double cur_r = lib.version(versions[id]).reliability;
@@ -187,10 +190,10 @@ void polish(const dfg::Graph& g, const ResourceLibrary& lib,
         candidate[id] = v;
         auto delays = delays_for(g, lib, candidate);
         if (dfg::asap_latency(g, delays) > latency_bound) continue;
-        Design d = assemble(g, lib, candidate, latency_bound, scheduler);
-        if (d.area > area_bound + kAreaEps) continue;
-        double bar = best ? best->reliability : current.reliability;
-        if (d.reliability > bar) {
+        DesignPtr d = memo.assemble(candidate, latency_bound, scheduler);
+        if (d->area > area_bound + kAreaEps) continue;
+        double bar = best ? best->reliability : current->reliability;
+        if (d->reliability > bar) {
           best = std::move(d);
           best_versions = std::move(candidate);
         }
@@ -198,23 +201,16 @@ void polish(const dfg::Graph& g, const ResourceLibrary& lib,
     }
     if (best) {
       versions = std::move(best_versions);
-      current = std::move(*best);
+      current = std::move(best);
       improved = true;
     }
   }
 }
 
-}  // namespace
-
-namespace {
-
-Design find_design_once(const dfg::Graph& g, const ResourceLibrary& lib,
-                        int latency_bound, double area_bound,
-                        const FindDesignOptions& options) {
-  if (g.node_count() == 0) throw Error("find_design: empty graph");
-  if (latency_bound < 1) throw Error("find_design: latency bound must be >= 1");
-  if (!(area_bound > 0.0)) throw Error("find_design: area bound must be > 0");
-  lib.validate();
+Design find_design_once(AssembleMemo& memo, int latency_bound,
+                        double area_bound, const FindDesignOptions& options) {
+  const dfg::Graph& g = memo.graph();
+  const ResourceLibrary& lib = memo.library();
 
   // Fig. 6 l. 3: the most reliable version for every node.
   std::vector<VersionId> versions(g.node_count());
@@ -228,10 +224,10 @@ Design find_design_once(const dfg::Graph& g, const ResourceLibrary& lib,
   // Fig. 6 l. 4-5 / 11: schedule at the ASAP length.
   int target_latency =
       dfg::asap_latency(g, delays_for(g, lib, versions));
-  Design d = assemble(g, lib, versions, target_latency, options.scheduler);
+  DesignPtr d = memo.assemble(versions, target_latency, options.scheduler);
 
   int iterations = 0;
-  while (d.area > area_bound + kAreaEps) {
+  while (d->area > area_bound + kAreaEps) {
     if (++iterations > options.max_iterations) {
       throw Error("find_design: area phase iteration limit");
     }
@@ -239,19 +235,19 @@ Design find_design_once(const dfg::Graph& g, const ResourceLibrary& lib,
     // Fig. 6 l. 15-21: exploit latency slack for sharing.
     if (target_latency < latency_bound) {
       ++target_latency;
-      d = assemble(g, lib, versions, target_latency, options.scheduler);
+      d = memo.assemble(versions, target_latency, options.scheduler);
       continue;
     }
 
     // Fig. 6 l. 23-28: demote the biggest-area node and its sharers.
-    if (shrink_step(g, lib, versions, d)) {
-      d = assemble(g, lib, versions, target_latency, options.scheduler);
+    if (shrink_step(g, lib, versions, *d)) {
+      d = memo.assemble(versions, target_latency, options.scheduler);
       continue;
     }
 
     // Stuck: optional bulk consolidation.
     if (options.enable_consolidation &&
-        consolidate_step(g, lib, versions, target_latency, area_bound,
+        consolidate_step(memo, versions, target_latency, area_bound,
                          options.scheduler, d)) {
       continue;
     }
@@ -259,30 +255,34 @@ Design find_design_once(const dfg::Graph& g, const ResourceLibrary& lib,
     throw NoSolutionError(
         "find_design: cannot meet area bound " + std::to_string(area_bound) +
         " (best achievable with the current assignment is " +
-        std::to_string(d.area) + ")");
+        std::to_string(d->area) + ")");
   }
 
   if (options.enable_polish) {
-    polish(g, lib, versions, latency_bound, area_bound, options.scheduler, d,
+    polish(memo, versions, latency_bound, area_bound, options.scheduler, d,
            options.max_iterations);
   }
 
-  validate_design(d, g, lib);
-  return d;
+  validate_design(*d, g, lib);
+  return *d;
 }
 
 }  // namespace
 
-Design find_design(const dfg::Graph& g, const ResourceLibrary& lib,
-                   int latency_bound, double area_bound,
+Design find_design(AssembleMemo& memo, int latency_bound, double area_bound,
                    const FindDesignOptions& options) {
+  if (memo.graph().node_count() == 0) throw Error("find_design: empty graph");
+  if (latency_bound < 1) throw Error("find_design: latency bound must be >= 1");
+  if (!(area_bound > 0.0)) throw Error("find_design: area bound must be > 0");
+  memo.library().validate();
+
   std::optional<Design> best;
   std::string first_failure;
   for (int k = 0; k <= options.explore_tighter_latency; ++k) {
     int bound = latency_bound - k;
     if (bound < 1) break;
     try {
-      Design d = find_design_once(g, lib, bound, area_bound, options);
+      Design d = find_design_once(memo, bound, area_bound, options);
       if (!best || d.reliability > best->reliability ||
           (d.reliability == best->reliability && d.area < best->area)) {
         best = std::move(d);
@@ -299,6 +299,13 @@ Design find_design(const dfg::Graph& g, const ResourceLibrary& lib,
                               : first_failure);
   }
   return *best;
+}
+
+Design find_design(const dfg::Graph& g, const ResourceLibrary& lib,
+                   int latency_bound, double area_bound,
+                   const FindDesignOptions& options) {
+  AssembleMemo memo(g, lib);
+  return find_design(memo, latency_bound, area_bound, options);
 }
 
 }  // namespace rchls::hls

@@ -23,6 +23,13 @@
 //     feasible uniform design exists for.
 //   * polish: a final hill-climbing pass upgrading single operations to
 //     more reliable versions while both bounds continue to hold.
+//
+// Every assembly (schedule + bind) of a run comes from an AssembleMemo.
+// The explore loop's bounds re-walk each other's steps, and so do the
+// callers that run find_design many times for one request: a grid's cells,
+// a sweep's points, the combined approach's budgets and the objectives'
+// searches. Those callers pass one memo to every run; the graph-and-library
+// overload makes its own for one call.
 #pragma once
 
 #include "dfg/graph.hpp"
@@ -48,9 +55,16 @@ struct FindDesignOptions {
 };
 
 /// Returns the most reliable design meeting both bounds that the heuristic
-/// finds; throws NoSolutionError when it proves unable to meet them.
+/// finds; throws NoSolutionError when it proves unable to meet them, and
+/// Error on an empty graph, an invalid library, a latency bound below 1 or
+/// a non-positive area bound.
 Design find_design(const dfg::Graph& g, const library::ResourceLibrary& lib,
                    int latency_bound, double area_bound,
+                   const FindDesignOptions& options = {});
+
+/// The same on memo.graph() and memo.library(), taking every assembly from
+/// (and adding it to) `memo`. The result equals the overload above.
+Design find_design(AssembleMemo& memo, int latency_bound, double area_bound,
                    const FindDesignOptions& options = {});
 
 }  // namespace rchls::hls

@@ -25,10 +25,11 @@ Design minimize_area(const dfg::Graph& g, const library::ResourceLibrary& lib,
   // find_design maximizes reliability at a given area bound, and its result
   // is (weakly) improved by loosening the bound, so the first area at which
   // the target is met is the minimal one at this granularity.
+  AssembleMemo memo(g, lib);
   for (double ad = options.area_step; ad <= options.max_area + 1e-9;
        ad += options.area_step) {
     try {
-      Design d = find_design(g, lib, latency_bound, ad, options.find_design);
+      Design d = find_design(memo, latency_bound, ad, options.find_design);
       if (d.reliability >= min_reliability) return d;
     } catch (const NoSolutionError&) {
       // tighter areas are infeasible; keep growing
@@ -51,9 +52,10 @@ Design minimize_latency(const dfg::Graph& g,
   }
   int ld = dfg::asap_latency(g, delays_for(g, lib, fastest));
 
+  AssembleMemo memo(g, lib);
   for (; ld <= options.max_latency; ++ld) {
     try {
-      Design d = find_design(g, lib, ld, area_bound, options.find_design);
+      Design d = find_design(memo, ld, area_bound, options.find_design);
       if (d.reliability >= min_reliability) return d;
     } catch (const NoSolutionError&) {
     }

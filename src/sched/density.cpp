@@ -41,7 +41,7 @@ Schedule density_schedule(const dfg::Graph& g, std::span<const int> delays,
   const std::size_t n = g.node_count();
   std::vector<int> est = dfg::asap(g, delays);
   std::vector<int> lst = dfg::alap(g, delays, latency);  // throws if infeasible
-  auto topo = g.topological_order();
+  const auto& topo = g.topological_order();
 
   // Fix operations in increasing-mobility order; recompute the order lazily
   // after each placement since windows shrink.

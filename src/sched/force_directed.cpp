@@ -77,7 +77,7 @@ Schedule force_directed_schedule(const dfg::Graph& g,
   Windows w;
   w.est = dfg::asap(g, delays);
   w.lst = dfg::alap(g, delays, latency);
-  auto topo = g.topological_order();
+  const auto& topo = g.topological_order();
 
   int group_count = 0;
   for (int k : node_group) group_count = std::max(group_count, k + 1);

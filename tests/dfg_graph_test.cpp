@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
+#include <thread>
+#include <vector>
 
+#include "dfg/generate.hpp"
 #include "dfg/graph.hpp"
 #include "util/error.hpp"
 
@@ -101,6 +105,86 @@ TEST(Graph, DetectsCycles) {
   g.add_edge(c, a);
   EXPECT_THROW(g.topological_order(), ValidationError);
   EXPECT_THROW(g.validate(), ValidationError);
+}
+
+TEST(Graph, OrderReadBeforeGrowthIsReplaced) {
+  Graph g("t");
+  NodeId a = g.add_node("a", OpType::kAdd);
+  NodeId b = g.add_node("b", OpType::kAdd);
+  EXPECT_EQ(g.topological_order(), (std::vector<NodeId>{a, b}));
+  NodeId c = g.add_node("c", OpType::kMul);
+  EXPECT_EQ(g.topological_order(), (std::vector<NodeId>{a, b, c}));
+  g.add_edge(c, a);  // a now waits for c
+  g.add_edge(b, c);
+
+  Graph fresh("t");
+  fresh.add_node("a", OpType::kAdd);
+  fresh.add_node("b", OpType::kAdd);
+  fresh.add_node("c", OpType::kMul);
+  fresh.add_edge(c, a);
+  fresh.add_edge(b, c);
+  EXPECT_EQ(g.topological_order(), (std::vector<NodeId>{b, c, a}));
+  EXPECT_EQ(g.topological_order(), fresh.topological_order());
+}
+
+TEST(Graph, EdgeClosingACycleAfterAReadThrowsOnEveryCall) {
+  Graph g("t");
+  NodeId a = g.add_node("a", OpType::kAdd);
+  NodeId b = g.add_node("b", OpType::kAdd);
+  NodeId c = g.add_node("c", OpType::kAdd);
+  g.add_edge(a, b);
+  g.add_edge(b, c);
+  EXPECT_EQ(g.topological_order().size(), 3u);
+  g.validate();
+  g.add_edge(c, a);
+  for (int call = 0; call < 2; ++call) {
+    EXPECT_THROW(g.topological_order(), ValidationError);
+    EXPECT_THROW(g.validate(), ValidationError);
+  }
+}
+
+TEST(Graph, MutatingACopyLeavesTheOriginalsOrder) {
+  Graph g("t");
+  NodeId a = g.add_node("a", OpType::kAdd);
+  NodeId b = g.add_node("b", OpType::kAdd);
+  const std::vector<NodeId> before = g.topological_order();
+
+  Graph copy = g;
+  NodeId c = copy.add_node("c", OpType::kAdd);
+  copy.add_edge(c, a);
+  Graph assigned("other");
+  assigned = g;
+  assigned.add_edge(b, a);
+
+  EXPECT_EQ(g.topological_order(), before);
+  EXPECT_EQ(copy.topological_order(), (std::vector<NodeId>{b, c, a}));
+  EXPECT_EQ(assigned.topological_order(), (std::vector<NodeId>{b, a}));
+  EXPECT_EQ(g.topological_order(), before);
+}
+
+TEST(Graph, ConcurrentReadersOfAFreshGraphGetOneOrder) {
+  GeneratorConfig gc;
+  gc.num_nodes = 300;
+  gc.seed = 7;
+  const Graph generated = generate_random(gc);
+  const std::vector<NodeId>& expected = generated.topological_order();
+  const Graph g = generated;  // a copy starts without an order
+
+  constexpr int kReaders = 8;
+  std::latch start(kReaders);
+  std::vector<const std::vector<NodeId>*> seen(kReaders, nullptr);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      start.arrive_and_wait();
+      seen[t] = &g.topological_order();
+    });
+  }
+  for (auto& r : readers) r.join();
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_EQ(seen[t], seen[0]) << "reader " << t;
+    EXPECT_EQ(*seen[t], expected) << "reader " << t;
+  }
 }
 
 TEST(Graph, EmptyGraphIsValid) {

@@ -4,6 +4,8 @@
 
 #include "benchmarks/suite.hpp"
 #include "dfg/timing.hpp"
+#include "hls/combined.hpp"
+#include "hls/explore.hpp"
 #include "hls/find_design.hpp"
 #include "util/error.hpp"
 
@@ -87,10 +89,34 @@ TEST(FindDesign, ThrowsWhenAreaUnreachable) {
 TEST(FindDesign, RejectsBadArguments) {
   auto g = benchmarks::diffeq();
   ResourceLibrary lib = library::paper_library();
-  EXPECT_THROW(find_design(g, lib, 0, 8.0), Error);
-  EXPECT_THROW(find_design(g, lib, 8, 0.0), Error);
+  // NoSolutionError derives from Error: a bad argument must not be reported
+  // as "no solution".
+  auto expect_argument_error = [](const auto& call, const char* what) {
+    try {
+      call();
+      ADD_FAILURE() << what << ": accepted";
+    } catch (const NoSolutionError& e) {
+      ADD_FAILURE() << what << ": reported as no solution: " << e.what();
+    } catch (const Error&) {
+    }
+  };
+  FindDesignOptions explore;
+  explore.explore_tighter_latency = 2;
+  expect_argument_error([&] { find_design(g, lib, 0, 8.0); }, "latency 0");
+  expect_argument_error([&] { find_design(g, lib, 0, 8.0, explore); },
+                        "latency 0, explore 2");
+  expect_argument_error([&] { find_design(g, lib, 8, 0.0); }, "area 0");
   dfg::Graph empty("empty");
-  EXPECT_THROW(find_design(empty, lib, 8, 8.0), Error);
+  expect_argument_error([&] { find_design(empty, lib, 8, 8.0); },
+                        "empty graph");
+  expect_argument_error(
+      [&] { find_design(g, ResourceLibrary{}, 8, 8.0); }, "empty library");
+  expect_argument_error([&] { combined_design(g, lib, 0, 8.0); },
+                        "combined, latency 0");
+  expect_argument_error([&] { combined_design(g, lib, 8, -1.0); },
+                        "combined, area -1");
+  expect_argument_error([&] { latency_sweep(g, lib, {8, 0}, 8.0); },
+                        "latency sweep over bound 0");
 }
 
 TEST(FindDesign, LooserAreaNeverReducesReliabilityMuch) {
