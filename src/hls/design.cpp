@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <string_view>
 
 #include "bind/left_edge.hpp"
@@ -106,27 +105,15 @@ std::shared_ptr<const Design> AssembleMemo::assemble(
     std::span<const library::VersionId> version_of, int latency,
     SchedulerKind scheduler) {
   Key key{{version_of.begin(), version_of.end()}, latency, scheduler};
-  std::shared_future<std::shared_ptr<const Design>> design;
-  std::optional<std::promise<std::shared_ptr<const Design>>> first;
   {
     std::lock_guard lock(mu_);
-    auto [it, inserted] = designs_.try_emplace(std::move(key));
-    if (inserted) {
-      first.emplace();
-      it->second = first->get_future().share();
-    }
-    design = it->second;
+    if (auto it = designs_.find(key); it != designs_.end()) return it->second;
   }
-  if (first) {
-    try {
-      first->set_value(std::make_shared<const Design>(hls::assemble(
-          g_, lib_, {version_of.begin(), version_of.end()}, latency,
-          scheduler)));
-    } catch (...) {
-      first->set_exception(std::current_exception());
-    }
-  }
-  return design.get();
+  auto design = std::make_shared<const Design>(
+      hls::assemble(g_, lib_, key.version_of, latency, scheduler));
+  std::lock_guard lock(mu_);
+  return designs_.try_emplace(std::move(key), std::move(design))
+      .first->second;
 }
 
 std::size_t AssembleMemo::KeyHash::operator()(const Key& k) const {

@@ -7,11 +7,11 @@
 // grid's cells, a sweep's points, the combined approach's area budgets and
 // find_design's explore bounds re-walk each other's steps. AssembleMemo
 // holds one request's assemble() results so that each distinct key is
-// scheduled and bound once; the engines take their assemblies from it.
+// scheduled and bound once (twice or more only when pool workers miss it
+// at the same moment); the engines take their assemblies from it.
 #pragma once
 
 #include <cstddef>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -64,12 +64,14 @@ Design assemble(const dfg::Graph& g, const library::ResourceLibrary& lib,
 /// The assemble() results of one engine request over one (graph, library),
 /// keyed by (version assignment, target latency, scheduler). assemble() is
 /// a pure function of these, so a memoized Design is the one a fresh call
-/// would build, field for field, and an assignment that throws rethrows
-/// the same error. Thread-safe: the first caller of a key assembles it
-/// while later callers of that key wait for its result, so pool workers
-/// sharing one memo assemble each key once. The graph and library must
-/// outlive the memo and stay unchanged while it lives; it grows with the
-/// request's distinct keys and frees them when it is destroyed.
+/// would build, field for field. A key that throws is not stored: each
+/// call assembles it again and throws the same error. Thread-safe: a
+/// lookup and an insert each take the lock, and the assembly between them
+/// runs outside it, so workers that miss the same key at once each
+/// assemble it and all return the Design stored first. The graph and
+/// library must outlive the memo and stay unchanged while it lives; it
+/// grows with the request's distinct keys and frees them when it is
+/// destroyed.
 class AssembleMemo {
  public:
   AssembleMemo(const dfg::Graph& g, const library::ResourceLibrary& lib);
@@ -97,8 +99,7 @@ class AssembleMemo {
   const dfg::Graph& g_;
   const library::ResourceLibrary& lib_;
   std::mutex mu_;
-  std::unordered_map<Key, std::shared_future<std::shared_ptr<const Design>>,
-                     KeyHash>
+  std::unordered_map<Key, std::shared_ptr<const Design>, KeyHash>
       designs_;  // guarded by mu_
 };
 

@@ -168,18 +168,19 @@ bool consolidate_step(AssembleMemo& memo, std::vector<VersionId>& versions,
 /// Polish: greedy single-node upgrades to more reliable versions while
 /// both bounds keep holding. Candidates are assembled at the latency bound
 /// (maximum sharing) so an upgrade is never rejected for transient
-/// scheduling reasons.
-void polish(AssembleMemo& memo, std::vector<VersionId>& versions,
-            int latency_bound, double area_bound, SchedulerKind scheduler,
-            DesignPtr& current, int max_iterations) {
-  const dfg::Graph& g = memo.graph();
-  const ResourceLibrary& lib = memo.library();
+/// scheduling reasons. They bypass the memo: each differs from the current
+/// assignment in one node and every accepted upgrade moves that
+/// assignment, so a run rarely meets a candidate twice, while a memo that
+/// kept them would hold up to max_iterations Designs.
+void polish(const dfg::Graph& g, const ResourceLibrary& lib,
+            std::vector<VersionId>& versions, int latency_bound,
+            double area_bound, SchedulerKind scheduler, DesignPtr& current,
+            int max_iterations) {
   int iterations = 0;
   bool improved = true;
   while (improved) {
     improved = false;
-    DesignPtr best;
-    std::vector<VersionId> best_versions;
+    std::optional<Design> best;
     for (dfg::NodeId id = 0; id < g.node_count(); ++id) {
       double cur_r = lib.version(versions[id]).reliability;
       for (VersionId v = 0; v < lib.size(); ++v) {
@@ -190,18 +191,16 @@ void polish(AssembleMemo& memo, std::vector<VersionId>& versions,
         candidate[id] = v;
         auto delays = delays_for(g, lib, candidate);
         if (dfg::asap_latency(g, delays) > latency_bound) continue;
-        DesignPtr d = memo.assemble(candidate, latency_bound, scheduler);
-        if (d->area > area_bound + kAreaEps) continue;
+        Design d =
+            assemble(g, lib, std::move(candidate), latency_bound, scheduler);
+        if (d.area > area_bound + kAreaEps) continue;
         double bar = best ? best->reliability : current->reliability;
-        if (d->reliability > bar) {
-          best = std::move(d);
-          best_versions = std::move(candidate);
-        }
+        if (d.reliability > bar) best = std::move(d);
       }
     }
     if (best) {
-      versions = std::move(best_versions);
-      current = std::move(best);
+      versions = best->version_of;
+      current = std::make_shared<const Design>(std::move(*best));
       improved = true;
     }
   }
@@ -259,7 +258,7 @@ Design find_design_once(AssembleMemo& memo, int latency_bound,
   }
 
   if (options.enable_polish) {
-    polish(memo, versions, latency_bound, area_bound, options.scheduler, d,
+    polish(g, lib, versions, latency_bound, area_bound, options.scheduler, d,
            options.max_iterations);
   }
 

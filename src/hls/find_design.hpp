@@ -24,12 +24,14 @@
 //   * polish: a final hill-climbing pass upgrading single operations to
 //     more reliable versions while both bounds continue to hold.
 //
-// Every assembly (schedule + bind) of a run comes from an AssembleMemo.
-// The explore loop's bounds re-walk each other's steps, and so do the
-// callers that run find_design many times for one request: a grid's cells,
-// a sweep's points, the combined approach's budgets and the objectives'
-// searches. Those callers pass one memo to every run; the graph-and-library
-// overload makes its own for one call.
+// Every assembly (schedule + bind) of the Fig. 6 walk and of consolidation
+// comes from an AssembleMemo; polish assembles its one-node upgrade
+// candidates directly, since a run rarely meets one twice and a memo would
+// hold them all. The explore loop's bounds re-walk each other's steps, and
+// so do the callers that run find_design many times for one request: a
+// grid's cells, a sweep's points, the combined approach's budgets and the
+// objectives' searches. Those callers pass one memo to every run; the
+// graph-and-library overload makes its own for one call.
 #pragma once
 
 #include "dfg/graph.hpp"

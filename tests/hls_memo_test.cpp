@@ -276,7 +276,7 @@ TEST(AssembleMemo, ThreadsRacingOnOneKeyShareOneAssembly) {
       EXPECT_EQ(errors[t], fresh.no_solution) << where;
       ASSERT_EQ(got[t] != nullptr, fresh.design.has_value()) << where;
       if (!got[t]) continue;
-      EXPECT_EQ(got[t], got[0]) << where << ": assembled more than once";
+      EXPECT_EQ(got[t], got[0]) << where << ": not the stored Design";
       expect_same_design(*got[t], *fresh.design, where);
     }
   }
